@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -25,6 +26,7 @@ from .couplings import CoarseCoupling, extend_coupling
 from .errors import DualityError, ParseError, ValidationError
 from .instances import (
     Instance,
+    _parse_number,
     generate_instance,
     instance_to_jsonable,
     load_instance,
@@ -50,18 +52,13 @@ from .transport import (
 )
 from .wasserstein import lipschitz_violations, wasserstein1
 
-def _fmt(ctx: Context):
-    return lambda x: format_number(x, ctx.mode)
-
-
-def _fmt_vector(ctx, xs):
-    f = _fmt(ctx)
-    return [f(x) for x in xs]
-
-
-def _fmt_matrix(ctx, rows):
-    f = _fmt(ctx)
-    return [[f(x) for x in row] for row in rows]
+def _fmt(ctx: Context, x):
+    """A report value: numbers in the mode's format, sequences as lists."""
+    if x is None:
+        return None
+    if isinstance(x, (tuple, list)):
+        return [_fmt(ctx, y) for y in x]
+    return format_number(x, ctx.mode)
 
 
 def _check(name, ok, **detail):
@@ -79,45 +76,43 @@ def _need_cost(instance: Instance):
 
 def _coupling_checks(ctx, name, coupling):
     d = coupling_defects(coupling, ctx)
-    f = _fmt(ctx)
     return _check(
         name,
         d.ok,
-        max_row_defect=f(d.max_row_defect),
-        max_col_defect=f(d.max_col_defect),
-        min_entry=f(d.min_entry),
-        total_mass=f(d.total_mass),
+        max_row_defect=_fmt(ctx, d.max_row_defect),
+        max_col_defect=_fmt(ctx, d.max_col_defect),
+        min_entry=_fmt(ctx, d.min_entry),
+        total_mass=_fmt(ctx, d.total_mass),
     )
 
 
 def _scenario_solve(instance, ctx, options):
     cost = _need_cost(instance)
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    f = _fmt(ctx)
     low = solve_alpha(cost, mu, nu, ctx)
     high = solve_alpha_star(cost, mu, nu, ctx)
     beta = solve_beta(cost, mu, nu, ctx)
     beta_star = solve_beta_star(cost, mu, nu, ctx)
     chain = check_chain(cost, mu, nu, ctx)
     result = {
-        "beta": f(beta.value),
-        "alpha": f(low.value),
-        "alpha_star": f(high.value),
-        "beta_star": f(beta_star.value),
-        "chain": [f(x) for x in chain.as_tuple()],
-        "coupling_alpha": _fmt_matrix(ctx, low.coupling.matrix),
-        "coupling_alpha_star": _fmt_matrix(ctx, high.coupling.matrix),
+        "beta": _fmt(ctx, beta.value),
+        "alpha": _fmt(ctx, low.value),
+        "alpha_star": _fmt(ctx, high.value),
+        "beta_star": _fmt(ctx, beta_star.value),
+        "chain": _fmt(ctx, chain.as_tuple()),
+        "coupling_alpha": _fmt(ctx, low.coupling.matrix),
+        "coupling_alpha_star": _fmt(ctx, high.coupling.matrix),
         "potentials_beta": {
-            "f": _fmt_vector(ctx, beta.potentials.f),
-            "g": _fmt_vector(ctx, beta.potentials.g),
+            "f": _fmt(ctx, beta.potentials.f),
+            "g": _fmt(ctx, beta.potentials.g),
         },
         "potentials_beta_star": {
-            "f": _fmt_vector(ctx, beta_star.potentials.f),
-            "g": _fmt_vector(ctx, beta_star.potentials.g),
+            "f": _fmt(ctx, beta_star.potentials.f),
+            "g": _fmt(ctx, beta_star.potentials.g),
         },
     }
     checks = [
-        _check("chain_inequality", chain.ok, chain=[f(x) for x in chain.as_tuple()]),
+        _check("chain_inequality", chain.ok, chain=_fmt(ctx, chain.as_tuple())),
         _coupling_checks(ctx, "alpha_coupling_marginals", low.coupling),
         _coupling_checks(ctx, "alpha_star_coupling_marginals", high.coupling),
         _check(
@@ -137,12 +132,11 @@ def _scenario_solve(instance, ctx, options):
 def _scenario_chain(instance, ctx, options):
     cost = _need_cost(instance)
     chain = check_chain(cost, instance.space_x.weights, instance.space_y.weights, ctx)
-    f = _fmt(ctx)
     result = {
-        "beta": f(chain.beta),
-        "alpha": f(chain.alpha),
-        "alpha_star": f(chain.alpha_star),
-        "beta_star": f(chain.beta_star),
+        "beta": _fmt(ctx, chain.beta),
+        "alpha": _fmt(ctx, chain.alpha),
+        "alpha_star": _fmt(ctx, chain.alpha_star),
+        "beta_star": _fmt(ctx, chain.beta_star),
     }
     return result, [_check("chain_inequality", chain.ok)]
 
@@ -152,7 +146,7 @@ def _parse_n_list(text, ctx):
     for part in text.split(","):
         part = part.strip()
         if part:
-            out.append(ctx.number(part))
+            out.append(_parse_number(part, ctx, "--n"))
     if not out:
         raise ValidationError("--n produced an empty stage list")
     return out
@@ -175,20 +169,19 @@ def _scenario_approx(instance, ctx, options):
         while ns[-1] < max(modulus, 1):
             ns.append(ns[-1] * 2)
     sequence = infconv_sequence(cost, instance.space_x, ns, ctx=ctx)
-    f = _fmt(ctx)
     try:
         report = beta_star_limit_check(sequence, mu, nu, ctx)
     except DualityError as exc:
-        return {"stages": [f(n) for n in ns]}, [
+        return {"stages": _fmt(ctx, ns)}, [
             _check("stages_monotone", False, error=str(exc))
         ]
     reaches = modulus is not None and ns[-1] >= max(modulus, 0)
     result = {
-        "stages": [f(n) for n in ns],
-        "beta_star_stages": [f(v) for v in report.stage_values],
-        "beta_star_base": f(report.base_value),
-        "final_gap": f(report.final_gap),
-        "lipschitz_modulus": None if modulus is None else f(modulus),
+        "stages": _fmt(ctx, ns),
+        "beta_star_stages": _fmt(ctx, report.stage_values),
+        "beta_star_base": _fmt(ctx, report.base_value),
+        "final_gap": _fmt(ctx, report.final_gap),
+        "lipschitz_modulus": _fmt(ctx, modulus),
         "last_stage_reaches_modulus": reaches,
     }
     checks = [_check("stages_monotone", True)]
@@ -201,27 +194,28 @@ def _scenario_partition(instance, ctx, options):
     cost = _need_cost(instance)
     if instance.space_x.metric is None:
         raise ValidationError("the partition scenario needs a metric on space_x")
-    eps = ctx.number(options["eps"])
-    bound = ctx.number(options["lipschitz"])
+    eps = _parse_number(options["eps"], ctx, "--eps")
+    bound = _parse_number(options["lipschitz"], ctx, "--lipschitz")
     mu, nu = instance.space_x.weights, instance.space_y.weights
     part = oscillation_partition(cost, eps, instance.space_x, bound, ctx)
     osc = oscillation(cost, part, ctx)
     actual = max((x for x in osc if x is not None), default=ctx.number(0))
     coarse_cost = partition_discretize(cost, part, ctx)
-    alpha = solve_alpha(cost, mu, nu, ctx).value
-    alpha0 = solve_alpha(coarse_cost, mu, nu, ctx).value
-    beta = solve_beta(cost, mu, nu, ctx).value
-    beta0 = solve_beta(coarse_cost, mu, nu, ctx).value
-    f = _fmt(ctx)
+    # beta is the dual value of alpha's potentials, read off the same solve.
+    fine = solve_alpha(cost, mu, nu, ctx)
+    coarse = solve_alpha(coarse_cost, mu, nu, ctx)
+    alpha, alpha0 = fine.value, coarse.value
+    beta = fine.potentials.dual_value(mu, nu)
+    beta0 = coarse.potentials.dual_value(mu, nu)
     result = {
         "cells": [list(mask_indices(c)) for c in part.cells],
         "representatives": list(part.representatives),
-        "oscillation_per_cell": [None if x is None else f(x) for x in osc],
-        "oscillation_max": f(actual),
-        "alpha": f(alpha),
-        "alpha_discretized": f(alpha0),
-        "beta": f(beta),
-        "beta_discretized": f(beta0),
+        "oscillation_per_cell": _fmt(ctx, osc),
+        "oscillation_max": _fmt(ctx, actual),
+        "alpha": _fmt(ctx, alpha),
+        "alpha_discretized": _fmt(ctx, alpha0),
+        "beta": _fmt(ctx, beta),
+        "beta_discretized": _fmt(ctx, beta0),
     }
     checks = [
         _check("oscillation_within_eps", ctx.leq(actual, eps)),
@@ -268,14 +262,13 @@ def _scenario_extend(instance, ctx, options):
             lhs = sum(fine.matrix[x][y] for x in members)
             if not ctx.eq(lhs, coarse.matrix[k][y]):
                 agreement_ok = False
-    f = _fmt(ctx)
     result = {
-        "cell_masses": _fmt_vector(ctx, masses),
-        "coarse_value": f(coarse_report.value),
-        "coarse_coupling": _fmt_matrix(ctx, coarse.matrix),
-        "extended_coupling": _fmt_matrix(ctx, fine.matrix),
-        "extended_cost": f(fine_value),
-        "alpha": f(alpha),
+        "cell_masses": _fmt(ctx, masses),
+        "coarse_value": _fmt(ctx, coarse_report.value),
+        "coarse_coupling": _fmt(ctx, coarse.matrix),
+        "extended_coupling": _fmt(ctx, fine.matrix),
+        "extended_cost": _fmt(ctx, fine_value),
+        "alpha": _fmt(ctx, alpha),
     }
     checks = [
         _coupling_checks(ctx, "extended_marginals", fine),
@@ -296,12 +289,11 @@ def _scenario_cover(instance, ctx, options):
     mu, nu = instance.space_x.weights, instance.space_y.weights
     cover = min_cover(family, mu, nu, ctx)
     best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
-    f = _fmt(ctx)
     result = {
         "cover_a": list(mask_indices(cover.a)),
         "cover_b": list(mask_indices(cover.b)),
-        "cover_value": f(cover.value),
-        "alpha_star": f(best.value),
+        "cover_value": _fmt(ctx, cover.value),
+        "alpha_star": _fmt(ctx, best.value),
     }
     checks = [
         _check("cover_contains_union", covers(family, cover.a, cover.b)),
@@ -314,13 +306,12 @@ def _scenario_arveson(instance, ctx, options):
     family = _need_rectangles(instance)
     mu, nu = instance.space_x.weights, instance.space_y.weights
     outcome = arveson_witness(family, mu, nu, ctx)
-    f = _fmt(ctx)
     if isinstance(outcome, Cover):
         result = {
             "null_cover": {
                 "a": list(mask_indices(outcome.a)),
                 "b": list(mask_indices(outcome.b)),
-                "value": f(outcome.value),
+                "value": _fmt(ctx, outcome.value),
             }
         }
         checks = [
@@ -333,8 +324,8 @@ def _scenario_arveson(instance, ctx, options):
         ]
     else:
         result = {
-            "alpha_star": f(outcome.alpha_star),
-            "maximizing_coupling": _fmt_matrix(ctx, outcome.coupling.matrix),
+            "alpha_star": _fmt(ctx, outcome.alpha_star),
+            "maximizing_coupling": _fmt(ctx, outcome.coupling.matrix),
         }
         checks = [
             _check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star)),
@@ -352,13 +343,12 @@ def _scenario_wasserstein(instance, ctx, options):
         )
     mu, nu = instance.space_x.weights, instance.space_y.weights
     report = wasserstein1(instance.space_x.metric, mu, nu, ctx)
-    f = _fmt(ctx)
     violations = lipschitz_violations(instance.space_x.metric, report.lipschitz_witness, ctx)
     result = {
-        "alpha": f(report.primal_value),
-        "beta_lipschitz": f(report.dual_value),
-        "witness_f": _fmt_vector(ctx, report.lipschitz_witness),
-        "coupling": _fmt_matrix(ctx, report.coupling.matrix),
+        "alpha": _fmt(ctx, report.primal_value),
+        "beta_lipschitz": _fmt(ctx, report.dual_value),
+        "witness_f": _fmt(ctx, report.lipschitz_witness),
+        "coupling": _fmt(ctx, report.coupling.matrix),
     }
     checks = [
         _check("duality_gap_zero", ctx.eq(report.primal_value, report.dual_value)),
@@ -378,12 +368,11 @@ def _scenario_oracle_check(instance, ctx, options):
     oracle_high = oracle_enumerate(cost, mu, nu, "alpha_star", cap=cap, ctx=ctx)
     exact = low == oracle_low and high == oracle_high
     ok = ctx.eq(low, oracle_low) and ctx.eq(high, oracle_high)
-    f = _fmt(ctx)
     result = {
-        "alpha": f(low),
-        "alpha_oracle": f(oracle_low),
-        "alpha_star": f(high),
-        "alpha_star_oracle": f(oracle_high),
+        "alpha": _fmt(ctx, low),
+        "alpha_oracle": _fmt(ctx, oracle_low),
+        "alpha_star": _fmt(ctx, high),
+        "alpha_star_oracle": _fmt(ctx, oracle_high),
         "match": "exact" if exact else ("within-tolerance" if ok else "mismatch"),
     }
     return result, [_check("solver_matches_oracle", ok)]
@@ -484,6 +473,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tolerance is not None and not (
+            math.isfinite(args.tolerance) and args.tolerance >= 0
+        ):
+            raise ParseError(
+                f"--tolerance must be a finite number >= 0, got {args.tolerance!r}"
+            )
         if args.command == "gen":
             try:
                 m_text, n_text = args.size.lower().split("x")
@@ -509,9 +504,6 @@ def main(argv=None) -> int:
         report = run_scenario(instance, args.command, ctx, options)
         _emit(report, args.output)
         return 0 if report["ok"] else 1
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

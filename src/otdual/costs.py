@@ -100,10 +100,6 @@ def as_cost(c) -> CostMatrix:
     return CostMatrix(values=tuple(tuple(row) for row in c))
 
 
-def cost_values(c) -> Matrix:
-    return as_cost(c).values
-
-
 def separable_cost(f: Sequence[Number], g: Sequence[Number]) -> CostMatrix:
     return CostMatrix(values=tuple(tuple(fi + gj for gj in g) for fi in f))
 

@@ -8,14 +8,14 @@ schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import Context, Number, format_number
+from .numeric import RATIONAL, Context, Number, format_number
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -27,6 +27,7 @@ from .spaces import (
     metric_repair,
     validate_space,
 )
+from .transport import _northwest_basis
 
 FORMULAS = ("absolute-difference", "squared-difference", "equality-indicator")
 
@@ -60,9 +61,13 @@ def _parse_number(value, ctx: Context, where: str) -> Number:
     if not isinstance(value, (int, float, str)) or isinstance(value, bool):
         raise ParseError(f"{where} is not a number or 'p/q' string")
     try:
-        return ctx.number(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        number = ctx.number(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"cannot read number {value!r} in {where}: {exc}") from None
+    # Float mode takes the JSON literals NaN and Infinity as they are.
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ParseError(f"{where} is {value!r}, not a finite number")
+    return number
 
 
 def _parse_vector(values, ctx, where) -> Vector:
@@ -346,28 +351,6 @@ def random_partition(rng: Random, n: int, cells: int | None = None) -> Partition
     return Partition(cells=masks, representatives=reps)
 
 
-def _northwest_matrix(mu: Sequence[Fraction], nu: Sequence[Fraction]) -> list[list[Fraction]]:
-    m, n = len(mu), len(nu)
-    s = list(mu)
-    d = list(nu)
-    rows = [[Fraction(0)] * n for _ in range(m)]
-    i = j = 0
-    while True:
-        q = min(s[i], d[j])
-        rows[i][j] += q
-        s[i] -= q
-        d[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if s[i] == 0 and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
-        else:
-            i += 1
-    return rows
-
-
 def random_coupling(rng: Random, mu, nu, mixes: int = 3) -> Matrix:
     """A random exact coupling: a convex mix of permuted corner solutions."""
     mu = tuple(Fraction(x) for x in mu)
@@ -381,17 +364,11 @@ def random_coupling(rng: Random, mu, nu, mixes: int = 3) -> Matrix:
         tau = list(range(n))
         rng.shuffle(sigma)
         rng.shuffle(tau)
-        base = _northwest_matrix([mu[i] for i in sigma], [nu[j] for j in tau])
+        base = _northwest_basis([mu[i] for i in sigma], [nu[j] for j in tau], RATIONAL)
         lam = Fraction(weight, total)
-        for a in range(m):
-            for b in range(n):
-                out[sigma[a]][tau[b]] += lam * base[a][b]
+        for (a, b), q in base.items():
+            out[sigma[a]][tau[b]] += lam * q
     return tuple(tuple(r) for r in out)
-
-
-def random_coarse_matrix(rng: Random, masses, nu) -> Matrix:
-    """A random coarse plan with row sums ``masses`` and column sums ``nu``."""
-    return random_coupling(rng, masses, nu)
 
 
 def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Instance:

@@ -23,7 +23,7 @@ from .spaces import (
     mask_mass,
     mask_union,
 )
-from .transport import Coupling, solve_alpha, solve_alpha_star, solve_beta
+from .transport import Coupling, solve_alpha, solve_alpha_star
 
 UNION = "union"
 INTERSECTION = "intersection"
@@ -239,9 +239,9 @@ def truncation_duality(
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
-    head = family.head(n + 1)
-    head_alpha = solve_alpha(indicator_cost(head, UNION), mu, nu, ctx).value
-    head_beta = solve_beta(indicator_cost(head, UNION), mu, nu, ctx).value
+    head = solve_alpha(indicator_cost(family.head(n + 1), UNION), mu, nu, ctx)
+    head_alpha = head.value
+    head_beta = head.potentials.dual_value(mu, nu)
     tail_rows = [a for a, _ in family.rects[n + 1 :]]
     tail_union = mask_union(*tail_rows) if tail_rows else empty_mask(family.nx)
     tail_mass = mask_mass(mu, tail_union)

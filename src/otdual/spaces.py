@@ -21,10 +21,6 @@ Matrix = tuple[tuple[Number, ...], ...]
 # Subset masks
 # ---------------------------------------------------------------------------
 
-def full_mask(n: int) -> Mask:
-    return (True,) * n
-
-
 def empty_mask(n: int) -> Mask:
     return (False,) * n
 
@@ -326,14 +322,6 @@ class Partition:
 
     def non_null_cells(self) -> tuple[int, ...]:
         return tuple(k for k in range(len(self.cells)) if k != self.null_cell_index)
-
-    def cell_of(self) -> tuple[int, ...]:
-        owner = [0] * self.size
-        for k, c in enumerate(self.cells):
-            for i, b in enumerate(c):
-                if b:
-                    owner[i] = k
-        return tuple(owner)
 
 
 def singleton_partition(n: int) -> Partition:

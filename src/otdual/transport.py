@@ -16,10 +16,9 @@ entries.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .costs import PotentialPair, as_cost, negate_matrix
+from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, DualityError, InfeasibleMarginals
 from .numeric import Context, Number, resolve_context
 from .spaces import Matrix, Vector
@@ -139,20 +138,18 @@ def _validated_inputs(c, mu, nu, ctx):
 
 
 def _northwest_basis(mu, nu, ctx):
-    """Northwest-corner start: m+n-1 basic cells forming a spanning tree."""
+    """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree."""
     m, n = len(mu), len(nu)
     s = list(mu)
     d = list(nu)
     if ctx.mode == "float":
         d[-1] += sum(s) - sum(d)  # absorb roundoff so the corner rule closes
-    basis: list[tuple[int, int]] = []
     flow: dict[tuple[int, int], Number] = {}
     i = j = 0
     while True:
         q = s[i] if s[i] <= d[j] else d[j]
         if q < 0:
             q = ctx.number(0)
-        basis.append((i, j))
         flow[(i, j)] = q
         s[i] -= q
         d[j] -= q
@@ -164,77 +161,80 @@ def _northwest_basis(mu, nu, ctx):
             j += 1
         else:
             i += 1
-    return basis, flow
+    return flow
 
 
-def _potentials(basis, values, m, n, ctx):
-    """Node potentials with u[0] = 0, solving u_i + v_j = c_ij on basic arcs."""
-    adj: dict[int, list[tuple[int, int]]] = {k: [] for k in range(m + n)}
+def _walk_tree(basis, values, m, n, ctx):
+    """One walk of the basis tree from row node 0.
+
+    Nodes 0..m-1 are the rows and m..m+n-1 the columns.  Returns the node
+    potentials, solving u_i + v_j = c_ij on basic cells with u[0] = 0, and
+    each node's parent and depth in the tree rooted at row 0.
+    """
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for (i, j) in basis:
-        adj[i].append((i, j))
-        adj[m + j].append((i, j))
-    u: list[Number | None] = [None] * m
-    v: list[Number | None] = [None] * n
-    u[0] = ctx.number(0)
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for (i, j) in adj[node]:
-            if node < m and v[j] is None:
-                v[j] = values[i][j] - u[i]
-                queue.append(m + j)
-            elif node >= m and u[i] is None:
-                u[i] = values[i][j] - v[j]
-                queue.append(i)
-    if any(x is None for x in u) or any(x is None for x in v):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    potential: list[Number | None] = [None] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    potential[0] = ctx.number(0)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nxt in adj[node]:
+            if potential[nxt] is None:
+                i, j = (node, nxt - m) if node < m else (nxt, node - m)
+                potential[nxt] = values[i][j] - potential[node]
+                parent[nxt] = node
+                depth[nxt] = depth[node] + 1
+                stack.append(nxt)
+    if any(x is None for x in potential):
         raise DualityError("basis does not span the bipartite node set")
-    return u, v
+    return potential, parent, depth
 
 
-def _tree_path(basis, m, start: int, goal: int):
-    """Node path between two tree nodes; returns the list of arcs along it."""
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (start, (-1, -1))}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, arc in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, arc)
-                queue.append(nxt)
-    arcs = []
-    node = goal
-    while node != start:
-        prev, arc = parent[node]
-        arcs.append(arc)
-        node = prev
-    arcs.reverse()
-    return arcs
+def _pivot_cycle(entering, parent, depth, m):
+    """The basic cells losing and gaining flow when ``entering`` enters.
+
+    The cycle is the entering cell plus the tree path between its row and
+    its column.  Along the path, counted from either end, the cells
+    alternate between losing and gaining, starting with losing.
+    """
+    minus: list[tuple[int, int]] = []
+    plus: list[tuple[int, int]] = []
+    ends = [entering[0], m + entering[1]]
+    steps = [0, 0]
+    while ends[0] != ends[1]:
+        side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+        node = ends[side]
+        up = parent[node]
+        cell = (node, up - m) if node < m else (up, node - m)
+        (plus if steps[side] % 2 else minus).append(cell)
+        steps[side] += 1
+        ends[side] = up
+    return minus, plus
 
 
 def _network_simplex(values, mu, nu, ctx):
     """Minimize sum P*c over the transportation polytope.
 
     Returns (value, coupling matrix, u, v) with u, v optimal dual potentials.
+    The keys of ``flow`` are the basic cells.
     """
     m, n = len(mu), len(nu)
-    basis, flow = _northwest_basis(mu, nu, ctx)
-    basis_set = set(basis)
+    flow = _northwest_basis(mu, nu, ctx)
     max_pivots = 1000 * (m + n) * max(m * n, 1)
     pivots = 0
     while True:
-        u, v = _potentials(basis, values, m, n, ctx)
+        potential, parent, depth = _walk_tree(flow, values, m, n, ctx)
+        u, v = potential[:m], potential[m:]
         entering = None
         for i in range(m):
             ui = u[i]
             row = values[i]
             for j in range(n):
-                if (i, j) in basis_set:
+                if (i, j) in flow:
                     continue
                 if ctx.lt(row[j] - ui - v[j], 0):
                     entering = (i, j)
@@ -246,25 +246,20 @@ def _network_simplex(values, mu, nu, ctx):
         pivots += 1
         if pivots > max_pivots:
             raise DualityError("pivot limit exceeded; this should be unreachable")
-        path = _tree_path(basis, m, entering[0], m + entering[1])
-        minus_arcs = path[0::2]
+        minus, plus = _pivot_cycle(entering, parent, depth, m)
         theta = None
         leaving = None
-        for arc in minus_arcs:
+        for arc in minus:
             f = flow[arc]
             if theta is None or f < theta or (f == theta and arc < leaving):
                 theta = f
                 leaving = arc
-        for arc in path[0::2]:
+        for arc in minus:
             flow[arc] -= theta
-        for arc in path[1::2]:
+        for arc in plus:
             flow[arc] += theta
         flow[entering] = theta
         del flow[leaving]
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis = [a for a in basis if a != leaving]
-        basis.append(entering)
     zero = ctx.number(0)
     coupling = [[zero] * n for _ in range(m)]
     for (i, j), f in flow.items():
@@ -277,32 +272,41 @@ def _network_simplex(values, mu, nu, ctx):
 # Public solvers
 # ---------------------------------------------------------------------------
 
-def solve_alpha(c, mu, nu, ctx: Context | None = None) -> SolveReport:
-    """Exact minimum of sum P*c over couplings, with both optimality witnesses."""
+def _solve(c, mu, nu, side, ctx):
+    """One simplex run for one side: the primal report and the context used.
+
+    The lower side minimizes sum P*c.  The upper side maximizes it as
+    -alpha(-c), so its value and potentials are negated back here.
+    """
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    value, matrix, u, v = _network_simplex(values, mu, nu, ctx)
-    return SolveReport(
+    upper = side == UPPER
+    value, matrix, u, v = _network_simplex(
+        negate_matrix(values) if upper else values, mu, nu, ctx
+    )
+    if upper:
+        value, u, v = -value, tuple(-x for x in u), tuple(-x for x in v)
+    report = SolveReport(
         value=value,
-        objective=ALPHA,
+        objective=ALPHA_STAR if upper else ALPHA,
         arithmetic_mode=ctx.mode,
         coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
-        potentials=PotentialPair(f=u, g=v, side="lower"),
+        potentials=PotentialPair(f=u, g=v, side=side),
     )
+    return report, ctx
+
+
+def _dual_value(report: SolveReport) -> Number:
+    return report.potentials.dual_value(report.coupling.mu, report.coupling.nu)
+
+
+def solve_alpha(c, mu, nu, ctx: Context | None = None) -> SolveReport:
+    """Exact minimum of sum P*c over couplings, with both optimality witnesses."""
+    return _solve(c, mu, nu, LOWER, ctx)[0]
 
 
 def solve_alpha_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Exact maximum of sum P*c, computed as -alpha(-c)."""
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    value, matrix, u, v = _network_simplex(negate_matrix(values), mu, nu, ctx)
-    return SolveReport(
-        value=-value,
-        objective=ALPHA_STAR,
-        arithmetic_mode=ctx.mode,
-        coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
-        potentials=PotentialPair(
-            f=tuple(-x for x in u), g=tuple(-x for x in v), side="upper"
-        ),
-    )
+    return _solve(c, mu, nu, UPPER, ctx)[0]
 
 
 def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
@@ -311,30 +315,14 @@ def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     Read off the LP dual of alpha; on finite spaces the value matches
     alpha(c) (exactly in rational mode).
     """
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    _, matrix, u, v = _network_simplex(values, mu, nu, ctx)
-    pair = PotentialPair(f=u, g=v, side="lower")
-    return SolveReport(
-        value=pair.dual_value(mu, nu),
-        objective=BETA,
-        arithmetic_mode=ctx.mode,
-        coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
-        potentials=pair,
-    )
+    report = _solve(c, mu, nu, LOWER, ctx)[0]
+    return replace(report, value=_dual_value(report), objective=BETA)
 
 
 def solve_beta_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Best separable upper bound, computed as -beta(-c)."""
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    _, matrix, u, v = _network_simplex(negate_matrix(values), mu, nu, ctx)
-    pair = PotentialPair(f=tuple(-x for x in u), g=tuple(-x for x in v), side="upper")
-    return SolveReport(
-        value=pair.dual_value(mu, nu),
-        objective=BETA_STAR,
-        arithmetic_mode=ctx.mode,
-        coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
-        potentials=pair,
-    )
+    report = _solve(c, mu, nu, UPPER, ctx)[0]
+    return replace(report, value=_dual_value(report), objective=BETA_STAR)
 
 
 def check_chain(c, mu, nu, ctx: Context | None = None) -> ChainReport:
@@ -343,19 +331,14 @@ def check_chain(c, mu, nu, ctx: Context | None = None) -> ChainReport:
     ``ok`` states whether the chain beta <= alpha <= alpha* <= beta* holds
     within the mode tolerance; with exact arithmetic it cannot fail.
     """
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    value, _, u, v = _network_simplex(values, mu, nu, ctx)
-    beta = sum(w * x for w, x in zip(mu, u)) + sum(w * x for w, x in zip(nu, v))
-    neg_value, _, nu_pot, nv_pot = _network_simplex(negate_matrix(values), mu, nu, ctx)
-    alpha_star = -neg_value
-    beta_star = -(
-        sum(w * x for w, x in zip(mu, nu_pot)) + sum(w * x for w, x in zip(nu, nv_pot))
-    )
+    low, ctx = _solve(c, mu, nu, LOWER, ctx)
+    high, _ = _solve(c, mu, nu, UPPER, ctx)
+    beta, beta_star = _dual_value(low), _dual_value(high)
     ok = (
-        ctx.leq(beta, value)
-        and ctx.leq(value, alpha_star)
-        and ctx.leq(alpha_star, beta_star)
+        ctx.leq(beta, low.value)
+        and ctx.leq(low.value, high.value)
+        and ctx.leq(high.value, beta_star)
     )
     return ChainReport(
-        beta=beta, alpha=value, alpha_star=alpha_star, beta_star=beta_star, ok=ok
+        beta=beta, alpha=low.value, alpha_star=high.value, beta_star=beta_star, ok=ok
     )

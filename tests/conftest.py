@@ -1,5 +1,9 @@
 import time
 
+import pytest
+
+from otdual import transport
+
 SESSION_START = time.perf_counter()
 
 
@@ -11,6 +15,20 @@ def pytest_collection_modifyitems(session, config, items):
 
 def session_elapsed() -> float:
     return time.perf_counter() - SESSION_START
+
+
+@pytest.fixture
+def simplex_runs(monkeypatch):
+    """A list that gains one entry, the cost matrix, per network-simplex run."""
+    runs = []
+    solve = transport._network_simplex
+
+    def counted(values, mu, nu, ctx):
+        runs.append(values)
+        return solve(values, mu, nu, ctx)
+
+    monkeypatch.setattr(transport, "_network_simplex", counted)
+    return runs
 
 
 def brute_min_cover_value(family, mu, nu):

@@ -215,6 +215,48 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run(["solve", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
     assert run(["gen", "--seed", "1", "--size", "banana"]) == 2
+    path = write(tmp_path, swap_doc(), "swap.json")
+    for args, flag in (
+        (["solve", path, "--tolerance", "-1"], "--tolerance"),
+        (["solve", path, "--mode", "float", "--tolerance", "inf"], "--tolerance"),
+        (["solve", path, "--mode", "float", "--tolerance", "nan"], "--tolerance"),
+        (["partition", path, "--eps", "abc", "--lipschitz", "24"], "--eps"),
+        (["partition", path, "--eps", "1/0", "--lipschitz", "24"], "--eps"),
+        (["partition", path, "--eps", "1", "--lipschitz", "x"], "--lipschitz"),
+        (["partition", path, "--mode", "float", "--eps", "1e999", "--lipschitz", "24"], "--eps"),
+        (["approx", path, "--n", "1,x"], "--n"),
+    ):
+        capsys.readouterr()
+        assert run(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, (args, err)
+
+
+def test_non_finite_numbers_are_rejected(tmp_path, capsys):
+    doc = swap_doc()
+    doc["arithmetic"] = "float"
+    doc["cost"]["matrix"][0][0] = float("nan")
+    path = write(tmp_path, doc)
+    with pytest.raises(ParseError, match=r"cost\.matrix\[0\]\[0\]"):
+        load_instance(path)
+    assert run(["solve", path]) == 2
+    doc = swap_doc()
+    doc["arithmetic"] = "float"
+    doc["space_x"]["metric"][0][1] = float("inf")
+    with pytest.raises(ParseError, match=r"space_x\.metric\[0\]\[1\]"):
+        load_instance(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("verb, flags, runs", [
+    ("chain", (), 2),
+    ("partition", ("--eps", "12", "--lipschitz", "24"), 2),
+    ("extend", (), 2),
+])
+def test_verbs_solve_each_cost_and_side_once(tmp_path, simplex_runs, verb, flags, runs):
+    path = str(tmp_path / "g.json")
+    assert run(["gen", "--seed", "2", "--size", "4x4", "-o", path]) == 0
+    assert run([verb, path, *flags, "-o", str(tmp_path / "r.json")]) == 0
+    assert len(simplex_runs) == runs
 
 
 def test_scenario_needs_its_fields(tmp_path, capsys):

@@ -176,6 +176,16 @@ def test_geometric_tails_certify_within_two_eps():
         assert report.full_alpha <= report.head_beta + 2 * eps
 
 
+def test_truncation_solves_head_and_full_union_once_each(simplex_runs):
+    rng = Random(19)
+    mu = random_weights(rng, 4)
+    nu = random_weights(rng, 4)
+    family = random_rectangles(rng, 4, 4, 3)
+    report = ot.truncation_duality(family, mu, nu, 0, F(1, 10))
+    assert len(simplex_runs) == 2
+    assert report.head_alpha == report.head_beta
+
+
 def test_truncation_index_checked():
     family = diag_family(2)
     with pytest.raises(IndexOutOfRange):
