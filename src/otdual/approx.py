@@ -15,7 +15,15 @@ from .errors import (
     ValidationError,
 )
 from .numeric import Context, Number, resolve_context
-from .spaces import Mask, Matrix, Partition, ProbabilitySpace, Vector, mask_indices
+from .spaces import (
+    Mask,
+    Matrix,
+    Partition,
+    ProbabilitySpace,
+    Vector,
+    mask_from_indices,
+    mask_indices,
+)
 from .transport import solve_beta_star
 
 
@@ -69,8 +77,6 @@ def shifted_infconv(
     """min over all z of n*d(x,z) + c(z,y) - f(z): the infimal convolution of
     the shifted cost c - f."""
     cost = as_cost(c)
-    if space_x.metric is None:
-        raise ValidationError("infimal convolution needs a metric on X")
     ctx = resolve_context(ctx, cost.values, space_x.metric, tuple(f), n)
     values = ctx.matrix(cost.values)
     shifted = tuple(
@@ -99,7 +105,7 @@ def partition_discretize(c, partition: Partition, ctx: Context | None = None) ->
             continue
         rep = partition.representatives[k]
         if rep is None:
-            raise MissingRepresentative(f"cell {k} has members but no representative")
+            raise MissingRepresentative(f"cell {k} has no representative")
         for x in members:
             rows[x] = values[rep]
     return CostMatrix(values=tuple(rows))
@@ -187,13 +193,8 @@ def oscillation_partition(
                 members.append(z)
                 unassigned.discard(z)
         cells.append(sorted(members))
-    masks = []
-    for members in cells:
-        bits = [False] * m
-        for i in members:
-            bits[i] = True
-        masks.append(tuple(bits))
-    return Partition(cells=tuple(masks), representatives=tuple(seeds))
+    masks = tuple(mask_from_indices(m, members) for members in cells)
+    return Partition(cells=masks, representatives=tuple(seeds))
 
 
 def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> CostMatrix:

@@ -52,14 +52,6 @@ from .transport import (
 )
 from .wasserstein import lipschitz_violations, wasserstein1
 
-def _fmt(ctx: Context, x):
-    """A report value: numbers in the mode's format, sequences as lists."""
-    if x is None:
-        return None
-    if isinstance(x, (tuple, list)):
-        return [_fmt(ctx, y) for y in x]
-    return format_number(x, ctx.mode)
-
 
 def _check(name, ok, **detail):
     entry = {"name": name, "ok": bool(ok)}
@@ -74,15 +66,21 @@ def _need_cost(instance: Instance):
     return instance.cost
 
 
+def _need_metric(instance: Instance, verb: str):
+    if instance.space_x.metric is None:
+        raise ValidationError(f"the {verb} scenario needs a metric on space_x")
+    return instance.space_x.metric
+
+
 def _coupling_checks(ctx, name, coupling):
     d = coupling_defects(coupling, ctx)
     return _check(
         name,
         d.ok,
-        max_row_defect=_fmt(ctx, d.max_row_defect),
-        max_col_defect=_fmt(ctx, d.max_col_defect),
-        min_entry=_fmt(ctx, d.min_entry),
-        total_mass=_fmt(ctx, d.total_mass),
+        max_row_defect=format_number(d.max_row_defect, ctx.mode),
+        max_col_defect=format_number(d.max_col_defect, ctx.mode),
+        min_entry=format_number(d.min_entry, ctx.mode),
+        total_mass=format_number(d.total_mass, ctx.mode),
     )
 
 
@@ -95,24 +93,24 @@ def _scenario_solve(instance, ctx, options):
     beta_star = solve_beta_star(cost, mu, nu, ctx)
     chain = check_chain(cost, mu, nu, ctx)
     result = {
-        "beta": _fmt(ctx, beta.value),
-        "alpha": _fmt(ctx, low.value),
-        "alpha_star": _fmt(ctx, high.value),
-        "beta_star": _fmt(ctx, beta_star.value),
-        "chain": _fmt(ctx, chain.as_tuple()),
-        "coupling_alpha": _fmt(ctx, low.coupling.matrix),
-        "coupling_alpha_star": _fmt(ctx, high.coupling.matrix),
+        "beta": format_number(beta.value, ctx.mode),
+        "alpha": format_number(low.value, ctx.mode),
+        "alpha_star": format_number(high.value, ctx.mode),
+        "beta_star": format_number(beta_star.value, ctx.mode),
+        "chain": format_number(chain.as_tuple(), ctx.mode),
+        "coupling_alpha": format_number(low.coupling.matrix, ctx.mode),
+        "coupling_alpha_star": format_number(high.coupling.matrix, ctx.mode),
         "potentials_beta": {
-            "f": _fmt(ctx, beta.potentials.f),
-            "g": _fmt(ctx, beta.potentials.g),
+            "f": format_number(beta.potentials.f, ctx.mode),
+            "g": format_number(beta.potentials.g, ctx.mode),
         },
         "potentials_beta_star": {
-            "f": _fmt(ctx, beta_star.potentials.f),
-            "g": _fmt(ctx, beta_star.potentials.g),
+            "f": format_number(beta_star.potentials.f, ctx.mode),
+            "g": format_number(beta_star.potentials.g, ctx.mode),
         },
     }
     checks = [
-        _check("chain_inequality", chain.ok, chain=_fmt(ctx, chain.as_tuple())),
+        _check("chain_inequality", chain.ok, chain=format_number(chain.as_tuple(), ctx.mode)),
         _coupling_checks(ctx, "alpha_coupling_marginals", low.coupling),
         _coupling_checks(ctx, "alpha_star_coupling_marginals", high.coupling),
         _check(
@@ -133,10 +131,10 @@ def _scenario_chain(instance, ctx, options):
     cost = _need_cost(instance)
     chain = check_chain(cost, instance.space_x.weights, instance.space_y.weights, ctx)
     result = {
-        "beta": _fmt(ctx, chain.beta),
-        "alpha": _fmt(ctx, chain.alpha),
-        "alpha_star": _fmt(ctx, chain.alpha_star),
-        "beta_star": _fmt(ctx, chain.beta_star),
+        "beta": format_number(chain.beta, ctx.mode),
+        "alpha": format_number(chain.alpha, ctx.mode),
+        "alpha_star": format_number(chain.alpha_star, ctx.mode),
+        "beta_star": format_number(chain.beta_star, ctx.mode),
     }
     return result, [_check("chain_inequality", chain.ok)]
 
@@ -154,10 +152,9 @@ def _parse_n_list(text, ctx):
 
 def _scenario_approx(instance, ctx, options):
     cost = _need_cost(instance)
-    if instance.space_x.metric is None:
-        raise ValidationError("the approx scenario needs a metric on space_x")
+    metric = _need_metric(instance, "approx")
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    modulus = lipschitz_modulus(cost, instance.space_x.metric, ctx)
+    modulus = lipschitz_modulus(cost, metric, ctx)
     if options.get("n"):
         ns = _parse_n_list(options["n"], ctx)
     else:
@@ -172,16 +169,16 @@ def _scenario_approx(instance, ctx, options):
     try:
         report = beta_star_limit_check(sequence, mu, nu, ctx)
     except DualityError as exc:
-        return {"stages": _fmt(ctx, ns)}, [
+        return {"stages": format_number(ns, ctx.mode)}, [
             _check("stages_monotone", False, error=str(exc))
         ]
     reaches = modulus is not None and ns[-1] >= max(modulus, 0)
     result = {
-        "stages": _fmt(ctx, ns),
-        "beta_star_stages": _fmt(ctx, report.stage_values),
-        "beta_star_base": _fmt(ctx, report.base_value),
-        "final_gap": _fmt(ctx, report.final_gap),
-        "lipschitz_modulus": _fmt(ctx, modulus),
+        "stages": format_number(ns, ctx.mode),
+        "beta_star_stages": format_number(report.stage_values, ctx.mode),
+        "beta_star_base": format_number(report.base_value, ctx.mode),
+        "final_gap": format_number(report.final_gap, ctx.mode),
+        "lipschitz_modulus": format_number(modulus, ctx.mode),
         "last_stage_reaches_modulus": reaches,
     }
     checks = [_check("stages_monotone", True)]
@@ -192,8 +189,7 @@ def _scenario_approx(instance, ctx, options):
 
 def _scenario_partition(instance, ctx, options):
     cost = _need_cost(instance)
-    if instance.space_x.metric is None:
-        raise ValidationError("the partition scenario needs a metric on space_x")
+    _need_metric(instance, "partition")
     eps = _parse_number(options["eps"], ctx, "--eps")
     bound = _parse_number(options["lipschitz"], ctx, "--lipschitz")
     mu, nu = instance.space_x.weights, instance.space_y.weights
@@ -210,12 +206,12 @@ def _scenario_partition(instance, ctx, options):
     result = {
         "cells": [list(mask_indices(c)) for c in part.cells],
         "representatives": list(part.representatives),
-        "oscillation_per_cell": _fmt(ctx, osc),
-        "oscillation_max": _fmt(ctx, actual),
-        "alpha": _fmt(ctx, alpha),
-        "alpha_discretized": _fmt(ctx, alpha0),
-        "beta": _fmt(ctx, beta),
-        "beta_discretized": _fmt(ctx, beta0),
+        "oscillation_per_cell": format_number(osc, ctx.mode),
+        "oscillation_max": format_number(actual, ctx.mode),
+        "alpha": format_number(alpha, ctx.mode),
+        "alpha_discretized": format_number(alpha0, ctx.mode),
+        "beta": format_number(beta, ctx.mode),
+        "beta_discretized": format_number(beta0, ctx.mode),
     }
     checks = [
         _check("oscillation_within_eps", ctx.leq(actual, eps)),
@@ -238,19 +234,15 @@ def _scenario_extend(instance, ctx, options):
         raise ValidationError(
             f"the null cell has mass {masses[null]}; coarse solving needs mass 0"
         )
-    # Coarse cost: each non-null cell is collapsed onto its representative row.
+    # Coarse cost: one row per cell, the row its members share after
+    # discretization; the null cell and empty cells carry no mass.
+    discretized = partition_discretize(cost, part, ctx).values
     zero_row = tuple(ctx.number(0) for _ in range(instance.space_y.size))
-    rows = []
-    for k, cell in enumerate(part.cells):
-        members = mask_indices(cell)
-        if k == null or not members:
-            rows.append(zero_row)
-            continue
-        rep = part.representatives[k]
-        if rep is None:
-            raise ValidationError(f"cell {k} has no representative")
-        rows.append(tuple(ctx.number(x) for x in cost.values[rep]))
-    coarse_report = solve_alpha(tuple(rows), masses, nu, ctx)
+    rows = tuple(
+        discretized[members[0]] if k != null and members else zero_row
+        for k, members in enumerate(map(mask_indices, part.cells))
+    )
+    coarse_report = solve_alpha(rows, masses, nu, ctx)
     coarse = CoarseCoupling(partition=part, matrix=coarse_report.coupling.matrix, nu=ctx.vector(nu))
     fine = extend_coupling(coarse, mu, ctx)
     alpha = solve_alpha(cost, mu, nu, ctx).value
@@ -263,12 +255,12 @@ def _scenario_extend(instance, ctx, options):
             if not ctx.eq(lhs, coarse.matrix[k][y]):
                 agreement_ok = False
     result = {
-        "cell_masses": _fmt(ctx, masses),
-        "coarse_value": _fmt(ctx, coarse_report.value),
-        "coarse_coupling": _fmt(ctx, coarse.matrix),
-        "extended_coupling": _fmt(ctx, fine.matrix),
-        "extended_cost": _fmt(ctx, fine_value),
-        "alpha": _fmt(ctx, alpha),
+        "cell_masses": format_number(masses, ctx.mode),
+        "coarse_value": format_number(coarse_report.value, ctx.mode),
+        "coarse_coupling": format_number(coarse.matrix, ctx.mode),
+        "extended_coupling": format_number(fine.matrix, ctx.mode),
+        "extended_cost": format_number(fine_value, ctx.mode),
+        "alpha": format_number(alpha, ctx.mode),
     }
     checks = [
         _coupling_checks(ctx, "extended_marginals", fine),
@@ -292,8 +284,8 @@ def _scenario_cover(instance, ctx, options):
     result = {
         "cover_a": list(mask_indices(cover.a)),
         "cover_b": list(mask_indices(cover.b)),
-        "cover_value": _fmt(ctx, cover.value),
-        "alpha_star": _fmt(ctx, best.value),
+        "cover_value": format_number(cover.value, ctx.mode),
+        "alpha_star": format_number(best.value, ctx.mode),
     }
     checks = [
         _check("cover_contains_union", covers(family, cover.a, cover.b)),
@@ -311,7 +303,7 @@ def _scenario_arveson(instance, ctx, options):
             "null_cover": {
                 "a": list(mask_indices(outcome.a)),
                 "b": list(mask_indices(outcome.b)),
-                "value": _fmt(ctx, outcome.value),
+                "value": format_number(outcome.value, ctx.mode),
             }
         }
         checks = [
@@ -324,8 +316,8 @@ def _scenario_arveson(instance, ctx, options):
         ]
     else:
         result = {
-            "alpha_star": _fmt(ctx, outcome.alpha_star),
-            "maximizing_coupling": _fmt(ctx, outcome.coupling.matrix),
+            "alpha_star": format_number(outcome.alpha_star, ctx.mode),
+            "maximizing_coupling": format_number(outcome.coupling.matrix, ctx.mode),
         }
         checks = [
             _check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star)),
@@ -335,20 +327,19 @@ def _scenario_arveson(instance, ctx, options):
 
 
 def _scenario_wasserstein(instance, ctx, options):
-    if instance.space_x.metric is None:
-        raise ValidationError("the wasserstein scenario needs a metric on space_x")
+    metric = _need_metric(instance, "wasserstein")
     if instance.space_x.size != instance.space_y.size:
         raise ValidationError(
             "wasserstein needs mu and nu on one point set; the spaces differ in size"
         )
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    report = wasserstein1(instance.space_x.metric, mu, nu, ctx)
-    violations = lipschitz_violations(instance.space_x.metric, report.lipschitz_witness, ctx)
+    report = wasserstein1(metric, mu, nu, ctx)
+    violations = lipschitz_violations(metric, report.lipschitz_witness, ctx)
     result = {
-        "alpha": _fmt(ctx, report.primal_value),
-        "beta_lipschitz": _fmt(ctx, report.dual_value),
-        "witness_f": _fmt(ctx, report.lipschitz_witness),
-        "coupling": _fmt(ctx, report.coupling.matrix),
+        "alpha": format_number(report.primal_value, ctx.mode),
+        "beta_lipschitz": format_number(report.dual_value, ctx.mode),
+        "witness_f": format_number(report.lipschitz_witness, ctx.mode),
+        "coupling": format_number(report.coupling.matrix, ctx.mode),
     }
     checks = [
         _check("duality_gap_zero", ctx.eq(report.primal_value, report.dual_value)),
@@ -369,10 +360,10 @@ def _scenario_oracle_check(instance, ctx, options):
     exact = low == oracle_low and high == oracle_high
     ok = ctx.eq(low, oracle_low) and ctx.eq(high, oracle_high)
     result = {
-        "alpha": _fmt(ctx, low),
-        "alpha_oracle": _fmt(ctx, oracle_low),
-        "alpha_star": _fmt(ctx, high),
-        "alpha_star_oracle": _fmt(ctx, oracle_high),
+        "alpha": format_number(low, ctx.mode),
+        "alpha_oracle": format_number(oracle_low, ctx.mode),
+        "alpha_star": format_number(high, ctx.mode),
+        "alpha_star_oracle": format_number(oracle_high, ctx.mode),
         "match": "exact" if exact else ("within-tolerance" if ok else "mismatch"),
     }
     return result, [_check("solver_matches_oracle", ok)]
@@ -491,11 +482,7 @@ def main(argv=None) -> int:
         instance = load_instance(
             args.instance, mode_override=args.mode, tolerance=args.tolerance
         )
-        ctx = (
-            Context(instance.arithmetic)
-            if args.tolerance is None
-            else Context(instance.arithmetic, args.tolerance)
-        )
+        ctx = None if args.tolerance is None else Context(instance.arithmetic, args.tolerance)
         options = {
             key: getattr(args, key.replace("-", "_"))
             for key in ("n", "eps", "lipschitz", "cap")

@@ -243,14 +243,13 @@ def load_instance(path, mode_override: str | None = None, tolerance: float | Non
 
 def instance_to_jsonable(instance: Instance) -> dict:
     mode = instance.arithmetic
-    fmt = lambda x: format_number(x, mode)  # noqa: E731
 
     def space_doc(space: ProbabilitySpace, coords):
-        doc = {"points": list(space.points), "weights": [fmt(w) for w in space.weights]}
+        doc = {"points": list(space.points), "weights": format_number(space.weights, mode)}
         if space.metric is not None:
-            doc["metric"] = [[fmt(x) for x in row] for row in space.metric]
+            doc["metric"] = format_number(space.metric, mode)
         if coords is not None:
-            doc["coords"] = [fmt(x) for x in coords]
+            doc["coords"] = format_number(coords, mode)
         return doc
 
     doc = {
@@ -261,7 +260,7 @@ def instance_to_jsonable(instance: Instance) -> dict:
     if instance.cost_formula is not None:
         doc["cost"] = {"formula": instance.cost_formula}
     elif instance.cost is not None:
-        doc["cost"] = {"matrix": [[fmt(x) for x in row] for row in instance.cost.values]}
+        doc["cost"] = {"matrix": format_number(instance.cost.values, mode)}
     if instance.rectangles is not None:
         doc["rectangles"] = [
             {"x": list(mask_indices(a)), "y": list(mask_indices(b))}
@@ -295,21 +294,10 @@ def random_weights(rng: Random, n: int, denominator: int = 24, zeros: bool = Fal
     d = max(denominator, n)
     if zeros:
         cuts = sorted(rng.randrange(0, d + 1) for _ in range(n - 1))
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(d - prev)
     else:
         cuts = sorted(rng.sample(range(1, d), n - 1))
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(d - prev)
-    return tuple(Fraction(p, d) for p in parts)
+    bounds = [0, *cuts, d]
+    return tuple(Fraction(b - a, d) for a, b in zip(bounds, bounds[1:]))
 
 
 def random_cost_matrix(rng: Random, m: int, n: int, low: int = -12, high: int = 12,

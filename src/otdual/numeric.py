@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import ValidationError
+
 Number = Union[int, Fraction, float]
 
 RATIONAL_MODE = "rational"
@@ -28,8 +30,10 @@ class Context:
     def __post_init__(self) -> None:
         if self.mode not in (RATIONAL_MODE, FLOAT_MODE):
             raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValidationError(
+                f"tolerance must be a finite number >= 0, got {self.tolerance!r}"
+            )
 
     @property
     def atol(self) -> Number:
@@ -72,9 +76,6 @@ class Context:
     def leq(self, a, b) -> bool:
         return a <= b + self.atol
 
-    def geq(self, a, b) -> bool:
-        return b <= a + self.atol
-
     def lt(self, a, b) -> bool:
         return a < b - self.atol
 
@@ -105,8 +106,16 @@ def resolve_context(ctx: Context | None, *objects) -> Context:
     return ctx if ctx is not None else infer_context(*objects)
 
 
-def format_number(value: Number, mode: str):
-    """Render a number for a report: exact "p/q" string in rational mode."""
+def format_number(value, mode: str):
+    """Render a value for a report or an instance file.
+
+    Numbers become exact "p/q" strings in rational mode and floats in float
+    mode; tuples and lists become lists of rendered values; None stays None.
+    """
+    if value is None:
+        return None
+    if isinstance(value, (tuple, list)):
+        return [format_number(x, mode) for x in value]
     if mode == RATIONAL_MODE:
         return str(Fraction(value))
     return float(value)

@@ -134,7 +134,8 @@ def _max_flow_cut(h: Matrix, mu, nu, ctx):
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
-            break
+            # This search ran to exhaustion: its keys are the source side.
+            return total, set(parent)
         bottleneck = None
         v = sink
         while v != source:
@@ -150,15 +151,6 @@ def _max_flow_cut(h: Matrix, mu, nu, ctx):
             cap[(v, u)] += bottleneck
             v = u
         total += bottleneck
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reachable and cap[(u, v)] > ctx.atol:
-                reachable.add(v)
-                queue.append(v)
-    return total, reachable
 
 
 def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Cover:

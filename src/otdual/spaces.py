@@ -97,9 +97,6 @@ class ProbabilitySpace:
     def size(self) -> int:
         return len(self.points)
 
-    def mass(self, mask: Mask) -> Number:
-        return mask_mass(self.weights, mask)
-
 
 def make_space(weights, metric=None, points=None, prefix: str = "x") -> ProbabilitySpace:
     weights = tuple(weights)

@@ -25,8 +25,6 @@ from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
 ALPHA_STAR = "alpha_star"
-BETA = "beta"
-BETA_STAR = "beta_star"
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,6 @@ def transport_value(coupling_or_matrix, values: Matrix) -> Number:
 @dataclass(frozen=True)
 class SolveReport:
     value: Number
-    objective: str
     arithmetic_mode: str
     coupling: Coupling | None = None
     potentials: PotentialPair | None = None
@@ -287,7 +284,6 @@ def _solve(c, mu, nu, side, ctx):
         value, u, v = -value, tuple(-x for x in u), tuple(-x for x in v)
     report = SolveReport(
         value=value,
-        objective=ALPHA_STAR if upper else ALPHA,
         arithmetic_mode=ctx.mode,
         coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
         potentials=PotentialPair(f=u, g=v, side=side),
@@ -316,13 +312,13 @@ def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     alpha(c) (exactly in rational mode).
     """
     report = _solve(c, mu, nu, LOWER, ctx)[0]
-    return replace(report, value=_dual_value(report), objective=BETA)
+    return replace(report, value=_dual_value(report))
 
 
 def solve_beta_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Best separable upper bound, computed as -beta(-c)."""
     report = _solve(c, mu, nu, UPPER, ctx)[0]
-    return replace(report, value=_dual_value(report), objective=BETA_STAR)
+    return replace(report, value=_dual_value(report))
 
 
 def check_chain(c, mu, nu, ctx: Context | None = None) -> ChainReport:

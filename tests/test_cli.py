@@ -216,6 +216,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen", "--seed", "1", "--size", "banana"]) == 2
     path = write(tmp_path, swap_doc(), "swap.json")
+    no_rep, null_mass = swap_doc(), swap_doc()
+    no_rep["partition"]["representatives"] = [0, None]
+    null_mass["partition"].update(null_cell_index=1, representatives=[0, None])
+    no_rep = write(tmp_path, no_rep, "no_rep.json")
+    null_mass = write(tmp_path, null_mass, "null_mass.json")
     for args, flag in (
         (["solve", path, "--tolerance", "-1"], "--tolerance"),
         (["solve", path, "--mode", "float", "--tolerance", "inf"], "--tolerance"),
@@ -225,11 +230,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (["partition", path, "--eps", "1", "--lipschitz", "x"], "--lipschitz"),
         (["partition", path, "--mode", "float", "--eps", "1e999", "--lipschitz", "24"], "--eps"),
         (["approx", path, "--n", "1,x"], "--n"),
+        (["extend", no_rep], "cell 1 has no representative"),
+        (["extend", null_mass], "the null cell has mass"),
     ):
         capsys.readouterr()
         assert run(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err, (args, err)
+
+
+@pytest.mark.parametrize("tolerance", [-1, float("nan"), float("inf")])
+def test_library_rejects_a_bad_tolerance(tolerance):
+    with pytest.raises(ValidationError):
+        parse_instance(minimal_doc(), tolerance=tolerance)
 
 
 def test_non_finite_numbers_are_rejected(tmp_path, capsys):
