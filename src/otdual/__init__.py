@@ -46,6 +46,7 @@ from .errors import (
     InfeasibleMarginals,
     InfeasibleWitness,
     InstanceTooLarge,
+    InvariantViolation,
     LipschitzBoundViolated,
     MarginalMismatch,
     MissingRepresentative,
@@ -83,7 +84,6 @@ from .spaces import (
     conditional_measure,
     limsup_mass,
     make_space,
-    mask_complement,
     mask_from_indices,
     mask_indices,
     mask_intersection,

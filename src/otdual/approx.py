@@ -310,7 +310,12 @@ def beta_star_limit_check(
     for a, b in zip(stage_values, stage_values[1:]):
         if not ctx.leq(a, b):
             raise NotMonotone("beta* values decreased along the stages")
-    base_value = solve_beta_star(base, mu, nu, ctx).value
+    # Once the stages reach the Lipschitz modulus the last stage is the base
+    # cost itself, and its value is already known.
+    if sequence.stages and sequence.stages[-1][1].values == base.values:
+        base_value = stage_values[-1]
+    else:
+        base_value = solve_beta_star(base, mu, nu, ctx).value
     final_gap = base_value - stage_values[-1] if stage_values else base_value
     return BetaStarLimitReport(
         stage_values=stage_values, base_value=base_value, final_gap=final_gap

@@ -23,7 +23,7 @@ from .approx import (
 )
 from .costs import potential_defect
 from .couplings import CoarseCoupling, extend_coupling
-from .errors import DualityError, ParseError, ValidationError
+from .errors import DualityError, InvariantViolation, NotMonotone, ParseError, ValidationError
 from .instances import (
     Instance,
     _parse_number,
@@ -31,8 +31,8 @@ from .instances import (
     instance_to_jsonable,
     load_instance,
 )
-from .numeric import Context, format_number
-from .oracle import oracle_enumerate
+from .numeric import format_number
+from .oracle import DEFAULT_CELL_CAP, oracle_enumerate
 from .rectangles import (
     Cover,
     arveson_witness,
@@ -168,7 +168,7 @@ def _scenario_approx(instance, ctx, options):
     sequence = infconv_sequence(cost, instance.space_x, ns, ctx=ctx)
     try:
         report = beta_star_limit_check(sequence, mu, nu, ctx)
-    except DualityError as exc:
+    except NotMonotone as exc:
         return {"stages": format_number(ns, ctx.mode)}, [
             _check("stages_monotone", False, error=str(exc))
         ]
@@ -352,7 +352,7 @@ def _scenario_wasserstein(instance, ctx, options):
 def _scenario_oracle_check(instance, ctx, options):
     cost = _need_cost(instance)
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    cap = options.get("cap", 16)
+    cap = options.get("cap", DEFAULT_CELL_CAP)
     low = solve_alpha(cost, mu, nu, ctx).value
     high = solve_alpha_star(cost, mu, nu, ctx).value
     oracle_low = oracle_enumerate(cost, mu, nu, "alpha", cap=cap, ctx=ctx)
@@ -382,15 +382,19 @@ _SCENARIOS = {
 }
 
 
-def run_scenario(instance: Instance, command: str, ctx: Context | None = None,
-                 options: dict | None = None) -> dict:
-    """Execute one scenario and return the full report document."""
+def run_scenario(instance: Instance, command: str, options: dict | None = None) -> dict:
+    """Execute one scenario and return the full report document.
+
+    A broken solver invariant becomes the failed check ``solver_invariants``.
+    """
     if command not in _SCENARIOS:
         raise ValidationError(f"unknown command {command!r}; known: {sorted(_SCENARIOS)}")
-    if ctx is None:
-        ctx = Context(instance.arithmetic)
+    ctx = instance.ctx
     started = time.perf_counter()
-    result, checks = _SCENARIOS[command](instance, ctx, options or {})
+    try:
+        result, checks = _SCENARIOS[command](instance, ctx, options or {})
+    except InvariantViolation as exc:
+        result, checks = {}, [_check("solver_invariants", False, error=str(exc))]
     elapsed = time.perf_counter() - started
     return {
         "command": command,
@@ -452,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="compare the solver with enumeration",
                        parents=[common])
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=16, help="max cell count to enumerate")
+    p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP, help="max cell count to enumerate")
 
     p = sub.add_parser("gen", help="emit a random instance", parents=[common])
     p.add_argument("--seed", type=int, required=True)
@@ -482,13 +486,12 @@ def main(argv=None) -> int:
         instance = load_instance(
             args.instance, mode_override=args.mode, tolerance=args.tolerance
         )
-        ctx = None if args.tolerance is None else Context(instance.arithmetic, args.tolerance)
         options = {
             key: getattr(args, key.replace("-", "_"))
             for key in ("n", "eps", "lipschitz", "cap")
             if hasattr(args, key.replace("-", "_"))
         }
-        report = run_scenario(instance, args.command, ctx, options)
+        report = run_scenario(instance, args.command, options)
         _emit(report, args.output)
         return 0 if report["ok"] else 1
     except DualityError as exc:

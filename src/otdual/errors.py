@@ -74,3 +74,7 @@ class ParseError(DualityError):
 
 class ValidationError(DualityError):
     """An invariant of a constructed object fails."""
+
+
+class InvariantViolation(DualityError):
+    """An internal solver invariant failed; a bug, not a bad input."""

@@ -34,7 +34,7 @@ FORMULAS = ("absolute-difference", "squared-difference", "equality-indicator")
 
 @dataclass(frozen=True)
 class Instance:
-    arithmetic: str
+    ctx: Context
     space_x: ProbabilitySpace
     space_y: ProbabilitySpace
     cost: CostMatrix | None = None
@@ -70,6 +70,20 @@ def _parse_number(value, ctx: Context, where: str) -> Number:
     return number
 
 
+def _parse_index(value, size: int, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where} is not an integer index")
+    if not 0 <= value < size:
+        raise ValidationError(f"{where} is {value}, outside 0..{size - 1}")
+    return value
+
+
+def _parse_indices(values, size: int, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ParseError(f"{where} must be a list")
+    return tuple(_parse_index(v, size, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 def _parse_vector(values, ctx, where) -> Vector:
     if not isinstance(values, list):
         raise ParseError(f"{where} must be a list")
@@ -83,14 +97,10 @@ def _parse_matrix(rows, ctx, where) -> Matrix:
 
 
 def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
-    if not isinstance(data, dict):
-        raise ParseError(f"{where} must be an object")
     weights = _parse_vector(_need(data, "weights", list, where), ctx, f"{where}.weights")
-    points = data.get("points")
+    points = _need(data, "points", list, where, optional=True)
     if points is None:
         points = [f"{where[-1]}{i}" for i in range(len(weights))]
-    elif not isinstance(points, list):
-        raise ParseError(f"{where}.points must be a list")
     metric = data.get("metric")
     if metric is not None:
         metric = _parse_matrix(metric, ctx, f"{where}.metric")
@@ -149,10 +159,8 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
 
     cost = None
     cost_formula = None
-    raw_cost = data.get("cost")
+    raw_cost = _need(data, "cost", dict, "instance", optional=True)
     if raw_cost is not None:
-        if not isinstance(raw_cost, dict):
-            raise ParseError("cost must be an object with 'matrix' or 'formula'")
         if "matrix" in raw_cost:
             values = _parse_matrix(raw_cost["matrix"], ctx, "cost.matrix")
             if len(values) != m or any(len(r) != n for r in values):
@@ -168,55 +176,49 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
             raise ParseError("cost needs either 'matrix' or 'formula'")
 
     rectangles = None
-    raw_rects = data.get("rectangles")
+    raw_rects = _need(data, "rectangles", list, "instance", optional=True)
     if raw_rects is not None:
-        if not isinstance(raw_rects, list):
-            raise ParseError("rectangles must be a list")
         rects = []
         for k, r in enumerate(raw_rects):
+            where = f"rectangles[{k}]"
             if not isinstance(r, dict):
-                raise ParseError(f"rectangles[{k}] must be an object")
-            xs = _need(r, "x", list, f"rectangles[{k}]")
-            ys = _need(r, "y", list, f"rectangles[{k}]")
-            try:
-                rects.append((mask_from_indices(m, xs), mask_from_indices(n, ys)))
-            except DualityError as exc:
-                raise ValidationError(f"rectangles[{k}]: {exc}") from None
+                raise ParseError(f"{where} must be an object")
+            xs = _parse_indices(_need(r, "x", list, where), m, f"{where}.x")
+            ys = _parse_indices(_need(r, "y", list, where), n, f"{where}.y")
+            rects.append((mask_from_indices(m, xs), mask_from_indices(n, ys)))
         rectangles = RectangleFamily(nx=m, ny=n, rects=tuple(rects))
 
     partition = None
-    raw_partition = data.get("partition")
+    raw_partition = _need(data, "partition", dict, "instance", optional=True)
     if raw_partition is not None:
-        if not isinstance(raw_partition, dict):
-            raise ParseError("partition must be an object")
         raw_cells = _need(raw_partition, "cells", list, "partition")
-        try:
-            cells = tuple(mask_from_indices(m, cell) for cell in raw_cells)
-            partition = Partition(
-                cells=cells,
-                null_cell_index=raw_partition.get("null_cell_index"),
-                representatives=(
-                    tuple(raw_partition["representatives"])
-                    if raw_partition.get("representatives") is not None
-                    else None
-                ),
+        cells = tuple(
+            mask_from_indices(m, _parse_indices(cell, m, f"partition.cells[{k}]"))
+            for k, cell in enumerate(raw_cells)
+        )
+        null = raw_partition.get("null_cell_index")
+        if null is not None:
+            null = _parse_index(null, len(cells), "partition.null_cell_index")
+        reps = _need(raw_partition, "representatives", list, "partition", optional=True)
+        if reps is not None:
+            reps = tuple(
+                None if r is None else _parse_index(r, m, f"partition.representatives[{k}]")
+                for k, r in enumerate(reps)
             )
+        try:
+            partition = Partition(cells=cells, null_cell_index=null, representatives=reps)
         except DualityError as exc:
             raise ValidationError(f"partition: {exc}") from None
 
     mapping = None
-    raw_map = data.get("map")
+    raw_map = _need(data, "map", list, "instance", optional=True)
     if raw_map is not None:
-        if not isinstance(raw_map, list) or not all(isinstance(t, int) for t in raw_map):
-            raise ParseError("map must be a list of target point indices")
         if len(raw_map) != m:
             raise ValidationError(f"map has {len(raw_map)} entries for {m} points")
-        if any(not 0 <= t < n for t in raw_map):
-            raise ValidationError("map sends a point outside space_y")
-        mapping = tuple(raw_map)
+        mapping = _parse_indices(raw_map, n, "map")
 
     return Instance(
-        arithmetic=arithmetic,
+        ctx=ctx,
         space_x=space_x,
         space_y=space_y,
         cost=cost,
@@ -242,7 +244,7 @@ def load_instance(path, mode_override: str | None = None, tolerance: float | Non
 
 
 def instance_to_jsonable(instance: Instance) -> dict:
-    mode = instance.arithmetic
+    mode = instance.ctx.mode
 
     def space_doc(space: ProbabilitySpace, coords):
         doc = {"points": list(space.points), "weights": format_number(space.weights, mode)}
@@ -287,11 +289,11 @@ def save_instance(instance: Instance, path) -> None:
 # Seeded random generation (exact rationals; float instances are converted)
 # ---------------------------------------------------------------------------
 
-def random_weights(rng: Random, n: int, denominator: int = 24, zeros: bool = False) -> Vector:
+def random_weights(rng: Random, n: int, zeros: bool = False) -> Vector:
     """A random rational weight vector summing exactly to 1."""
     if n == 1:
         return (Fraction(1),)
-    d = max(denominator, n)
+    d = max(24, n)
     if zeros:
         cuts = sorted(rng.randrange(0, d + 1) for _ in range(n - 1))
     else:
@@ -300,20 +302,16 @@ def random_weights(rng: Random, n: int, denominator: int = 24, zeros: bool = Fal
     return tuple(Fraction(b - a, d) for a, b in zip(bounds, bounds[1:]))
 
 
-def random_cost_matrix(rng: Random, m: int, n: int, low: int = -12, high: int = 12,
-                       denominator: int = 4) -> Matrix:
-    return tuple(
-        tuple(Fraction(rng.randint(low, high), denominator) for _ in range(n))
-        for _ in range(m)
-    )
+def random_cost_matrix(rng: Random, m: int, n: int) -> Matrix:
+    return tuple(tuple(Fraction(rng.randint(-12, 12), 4) for _ in range(n)) for _ in range(m))
 
 
-def random_metric(rng: Random, n: int, denominator: int = 4) -> Matrix:
+def random_metric(rng: Random, n: int) -> Matrix:
     """A valid rational metric: random positive generator, then repaired."""
     gen = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            gen[i][j] = gen[j][i] = Fraction(rng.randint(1, 2 * denominator), denominator)
+            gen[i][j] = gen[j][i] = Fraction(rng.randint(1, 8), 4)
     return metric_repair(gen)
 
 
@@ -326,9 +324,8 @@ def random_rectangles(rng: Random, nx: int, ny: int, count: int = 3) -> Rectangl
     return RectangleFamily(nx=nx, ny=ny, rects=tuple(rects))
 
 
-def random_partition(rng: Random, n: int, cells: int | None = None) -> Partition:
-    k = cells if cells is not None else max(1, (n + 1) // 2)
-    k = min(k, n)
+def random_partition(rng: Random, n: int) -> Partition:
+    k = (n + 1) // 2
     owner = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
     rng.shuffle(owner)
     members: dict[int, list[int]] = {c: [] for c in range(k)}
@@ -339,12 +336,12 @@ def random_partition(rng: Random, n: int, cells: int | None = None) -> Partition
     return Partition(cells=masks, representatives=reps)
 
 
-def random_coupling(rng: Random, mu, nu, mixes: int = 3) -> Matrix:
+def random_coupling(rng: Random, mu, nu) -> Matrix:
     """A random exact coupling: a convex mix of permuted corner solutions."""
     mu = tuple(Fraction(x) for x in mu)
     nu = tuple(Fraction(x) for x in nu)
     m, n = len(mu), len(nu)
-    lam_raw = [rng.randint(1, 6) for _ in range(mixes)]
+    lam_raw = [rng.randint(1, 6) for _ in range(3)]
     total = sum(lam_raw)
     out = [[Fraction(0)] * n for _ in range(m)]
     for weight in lam_raw:
@@ -389,7 +386,7 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
         weights=ctx.vector(nu_map),
     )
     return Instance(
-        arithmetic=mode,
+        ctx=ctx,
         space_x=space_x,
         space_y=space_y,
         cost=CostMatrix(values=ctx.matrix(cost)),

@@ -8,7 +8,7 @@ second, independent route used for Lipschitz-dual values.
 """
 from __future__ import annotations
 
-from .errors import DualityError
+from .errors import DualityError, InvariantViolation
 from .numeric import Context, Number, resolve_context
 
 
@@ -54,7 +54,7 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
             break
         pivots += 1
         if pivots > max_pivots:
-            raise DualityError("simplex pivot limit exceeded")
+            raise InvariantViolation("simplex pivot limit exceeded")
         leaving_row = None
         best_ratio = None
         for r in range(nrows):

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .costs import CostMatrix
-from .errors import DualityError, IndexOutOfRange, ValidationError
+from .errors import IndexOutOfRange, InvariantViolation, ValidationError
 from .numeric import Context, Number, resolve_context
 from .spaces import (
     Mask,
@@ -171,9 +171,9 @@ def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Co
     b = tuple((1 + family.nx + j) in reachable for j in range(family.ny))
     value = mask_mass(mu, a) + mask_mass(nu, b)
     if not ctx.eq(value, flow):
-        raise DualityError("min cut does not match the max flow; unreachable")
+        raise InvariantViolation("min cut does not match the max flow; unreachable")
     if not covers(family, a, b):
-        raise DualityError("extracted cut fails to cover the family; unreachable")
+        raise InvariantViolation("extracted cut fails to cover the family; unreachable")
     return Cover(a=a, b=b, value=value)
 
 

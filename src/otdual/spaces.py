@@ -50,10 +50,6 @@ def mask_intersection(*masks: Mask) -> Mask:
     return tuple(all(bits) for bits in zip(*masks))
 
 
-def mask_complement(mask: Mask) -> Mask:
-    return tuple(not b for b in mask)
-
-
 def mask_mass(weights: Sequence[Number], mask: Mask) -> Number:
     if len(weights) != len(mask):
         raise ValidationError("mask length differs from weight vector length")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
-from .errors import DimensionMismatch, DualityError, InfeasibleMarginals
+from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
 from .numeric import Context, Number, resolve_context
 from .spaces import Matrix, Vector
 
@@ -187,7 +187,7 @@ def _walk_tree(basis, values, m, n, ctx):
                 depth[nxt] = depth[node] + 1
                 stack.append(nxt)
     if any(x is None for x in potential):
-        raise DualityError("basis does not span the bipartite node set")
+        raise InvariantViolation("basis does not span the bipartite node set")
     return potential, parent, depth
 
 
@@ -242,7 +242,7 @@ def _network_simplex(values, mu, nu, ctx):
             break
         pivots += 1
         if pivots > max_pivots:
-            raise DualityError("pivot limit exceeded; this should be unreachable")
+            raise InvariantViolation("pivot limit exceeded; this should be unreachable")
         minus, plus = _pivot_cycle(entering, parent, depth, m)
         theta = None
         leaving = None

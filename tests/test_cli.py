@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from otdual import rectangles
 from otdual.cli import main, run_scenario
 from otdual.errors import ParseError, ValidationError
 from otdual.instances import (
@@ -221,6 +222,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     null_mass["partition"].update(null_cell_index=1, representatives=[0, None])
     no_rep = write(tmp_path, no_rep, "no_rep.json")
     null_mass = write(tmp_path, null_mass, "null_mass.json")
+    bad_cell, bad_rect = swap_doc(), swap_doc()
+    bad_cell["partition"]["cells"][1][0] = 5
+    bad_rect["rectangles"][0]["x"][0] = "a"
+    bad_cell = write(tmp_path, bad_cell, "bad_cell.json")
+    bad_rect = write(tmp_path, bad_rect, "bad_rect.json")
     for args, flag in (
         (["solve", path, "--tolerance", "-1"], "--tolerance"),
         (["solve", path, "--mode", "float", "--tolerance", "inf"], "--tolerance"),
@@ -232,6 +238,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (["approx", path, "--n", "1,x"], "--n"),
         (["extend", no_rep], "cell 1 has no representative"),
         (["extend", null_mass], "the null cell has mass"),
+        (["extend", bad_cell], "partition.cells[1][0]"),
+        (["cover", bad_rect], "rectangles[0].x[0]"),
     ):
         capsys.readouterr()
         assert run(args) == 2, args
@@ -264,12 +272,52 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("chain", (), 2),
     ("partition", ("--eps", "12", "--lipschitz", "24"), 2),
     ("extend", (), 2),
+    ("approx", (), 5),
 ])
 def test_verbs_solve_each_cost_and_side_once(tmp_path, simplex_runs, verb, flags, runs):
     path = str(tmp_path / "g.json")
     assert run(["gen", "--seed", "2", "--size", "4x4", "-o", path]) == 0
     assert run([verb, path, *flags, "-o", str(tmp_path / "r.json")]) == 0
     assert len(simplex_runs) == runs
+
+
+def field_paths(doc, prefix=()):
+    """Every key and list position in a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def test_malformed_fields_never_raise(tmp_path, capsys):
+    paths = list(field_paths(swap_doc()))
+    assert len(paths) == 48
+    for path in paths:
+        for value in (-1, 2, 0.5, "a", True, None, [], ["a"], {}):
+            doc = swap_doc()
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            code = main(["extend", write(tmp_path, doc)])
+            capsys.readouterr()
+            assert code in (0, 1, 2), (path, value, code)
+
+
+def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
+    max_flow_cut = rectangles._max_flow_cut
+
+    def off_by_one(*args):
+        flow, reachable = max_flow_cut(*args)
+        return flow + 1, reachable
+
+    monkeypatch.setattr(rectangles, "_max_flow_cut", off_by_one)
+    assert run(["cover", write(tmp_path, swap_doc())]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {}
+    assert [c["name"] for c in report["checks"]] == ["solver_invariants"]
+    assert "min cut does not match the max flow" in report["checks"][0]["detail"]["error"]
 
 
 def test_scenario_needs_its_fields(tmp_path, capsys):
