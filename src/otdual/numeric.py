@@ -29,7 +29,7 @@ class Context:
 
     def __post_init__(self) -> None:
         if self.mode not in (RATIONAL_MODE, FLOAT_MODE):
-            raise ValueError(f"unknown arithmetic mode: {self.mode!r}")
+            raise ValidationError(f"unknown arithmetic mode: {self.mode!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValidationError(
                 f"tolerance must be a finite number >= 0, got {self.tolerance!r}"
@@ -104,6 +104,24 @@ def infer_context(*objects) -> Context:
 
 def resolve_context(ctx: Context | None, *objects) -> Context:
     return ctx if ctx is not None else infer_context(*objects)
+
+
+def to_lattice(*vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """Scale rational vectors onto one integer lattice.
+
+    Returns the scale, the least common multiple of every denominator, and
+    each vector multiplied by it as plain ``int``s.  A positive scale keeps
+    every sign and every order between entries.
+    """
+    scale = math.lcm(*(x.denominator for vector in vectors for x in vector))
+    return scale, [
+        tuple(x.numerator * (scale // x.denominator) for x in vector) for vector in vectors
+    ]
+
+
+def from_lattice(vector, scale: int) -> tuple[Fraction, ...]:
+    """The exact rationals x / scale of integer lattice points x."""
+    return tuple(Fraction(x, scale) for x in vector)
 
 
 def format_number(value, mode: str):

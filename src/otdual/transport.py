@@ -10,17 +10,21 @@ The primal algorithm is a network simplex specialized to the bipartite
 transportation structure, pivoting with Bland's rule (smallest cell in
 lexicographic order enters; smallest tying cell leaves) so it cannot cycle
 even on degenerate instances.  Dual potentials are the node potentials at
-optimality.  In rational mode every quantity is exact: flows live in the
-lattice generated by the marginals and potentials are signed sums of cost
-entries.
+optimality.  In rational mode every quantity is exact: a solve runs on
+plain ``int``s, with the costs scaled by L, the least common multiple of
+their denominators, and the marginals by D, that of theirs.  The value is
+mapped back as v / (L*D), potentials as x / L and flows as f / D.  Positive
+scales keep every sign and order the pivot rules compare, so the pivots are
+those of the same solve on ``Fraction``s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
-from .numeric import Context, Number, resolve_context
+from .numeric import FLOAT_MODE, Context, Number, from_lattice, resolve_context, to_lattice
 from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
@@ -161,12 +165,12 @@ def _northwest_basis(mu, nu, ctx):
     return flow
 
 
-def _walk_tree(basis, values, m, n, ctx):
+def _walk_tree(basis, values, m, n, zero):
     """One walk of the basis tree from row node 0.
 
     Nodes 0..m-1 are the rows and m..m+n-1 the columns.  Returns the node
-    potentials, solving u_i + v_j = c_ij on basic cells with u[0] = 0, and
-    each node's parent and depth in the tree rooted at row 0.
+    potentials, solving u_i + v_j = c_ij on basic cells with u[0] = ``zero``,
+    and each node's parent and depth in the tree rooted at row 0.
     """
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for (i, j) in basis:
@@ -175,7 +179,7 @@ def _walk_tree(basis, values, m, n, ctx):
     potential: list[Number | None] = [None] * (m + n)
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
-    potential[0] = ctx.number(0)
+    potential[0] = zero
     stack = [0]
     while stack:
         node = stack.pop()
@@ -220,11 +224,14 @@ def _network_simplex(values, mu, nu, ctx):
     The keys of ``flow`` are the basic cells.
     """
     m, n = len(mu), len(nu)
+    # A Fraction zero would turn every potential of an integer solve back
+    # into a Fraction; float mode keeps 0.0.
+    zero = 0.0 if ctx.mode == FLOAT_MODE else 0
     flow = _northwest_basis(mu, nu, ctx)
     max_pivots = 1000 * (m + n) * max(m * n, 1)
     pivots = 0
     while True:
-        potential, parent, depth = _walk_tree(flow, values, m, n, ctx)
+        potential, parent, depth = _walk_tree(flow, values, m, n, zero)
         u, v = potential[:m], potential[m:]
         entering = None
         for i in range(m):
@@ -257,7 +264,6 @@ def _network_simplex(values, mu, nu, ctx):
             flow[arc] += theta
         flow[entering] = theta
         del flow[leaving]
-    zero = ctx.number(0)
     coupling = [[zero] * n for _ in range(m)]
     for (i, j), f in flow.items():
         coupling[i][j] = f if f > 0 else zero
@@ -273,13 +279,22 @@ def _solve(c, mu, nu, side, ctx):
     """One simplex run for one side: the primal report and the context used.
 
     The lower side minimizes sum P*c.  The upper side maximizes it as
-    -alpha(-c), so its value and potentials are negated back here.
+    -alpha(-c), so its value and potentials are negated back here.  In
+    rational mode the simplex runs on the integer lattice described in the
+    module docstring.
     """
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     upper = side == UPPER
-    value, matrix, u, v = _network_simplex(
-        negate_matrix(values) if upper else values, mu, nu, ctx
-    )
+    signed = negate_matrix(values) if upper else values
+    if ctx.mode == FLOAT_MODE:
+        value, matrix, u, v = _network_simplex(signed, mu, nu, ctx)
+    else:
+        cost_scale, cost = to_lattice(*signed)
+        mass_scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
+        value, matrix, u, v = _network_simplex(cost, mass_mu, mass_nu, ctx)
+        value = Fraction(value, cost_scale * mass_scale)
+        matrix = tuple(from_lattice(row, mass_scale) for row in matrix)
+        u, v = from_lattice(u, cost_scale), from_lattice(v, cost_scale)
     if upper:
         value, u, v = -value, tuple(-x for x in u), tuple(-x for x in v)
     report = SolveReport(

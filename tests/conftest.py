@@ -19,7 +19,11 @@ def session_elapsed() -> float:
 
 @pytest.fixture
 def simplex_runs(monkeypatch):
-    """A list that gains one entry, the cost matrix, per network-simplex run."""
+    """A list that gains one entry, the cost matrix, per network-simplex run.
+
+    The matrix is recorded as passed to the simplex: side-signed, and in
+    rational mode scaled onto the integer lattice.
+    """
     runs = []
     solve = transport._network_simplex
 

@@ -5,7 +5,7 @@ import pytest
 
 from otdual import rectangles
 from otdual.cli import main, run_scenario
-from otdual.errors import ParseError, ValidationError
+from otdual.errors import DualityError, ParseError, ValidationError
 from otdual.instances import (
     generate_instance,
     instance_to_jsonable,
@@ -251,6 +251,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
 def test_library_rejects_a_bad_tolerance(tolerance):
     with pytest.raises(ValidationError):
         parse_instance(minimal_doc(), tolerance=tolerance)
+
+
+def test_library_rejects_an_unknown_mode():
+    with pytest.raises(DualityError, match="unknown arithmetic mode"):
+        parse_instance(minimal_doc(), mode_override="decimal")
 
 
 def test_non_finite_numbers_are_rejected(tmp_path, capsys):

@@ -4,8 +4,15 @@ from random import Random
 import pytest
 
 import otdual as ot
+from otdual import transport
 from otdual.errors import DimensionMismatch, InfeasibleMarginals
-from otdual.instances import random_cost_matrix, random_coupling, random_weights
+from otdual.instances import (
+    generate_instance,
+    random_cost_matrix,
+    random_coupling,
+    random_weights,
+)
+from otdual.numeric import RATIONAL
 
 HALF = (F(1, 2), F(1, 2))
 SWAP_COST = ((0, 1), (1, 0))
@@ -207,3 +214,57 @@ def test_coupling_defects_flags_bad_marginals():
     defects = ot.coupling_defects(bad)
     assert not defects.ok
     assert defects.max_row_defect == F(1, 4)
+
+
+@pytest.mark.parametrize("mode, kind", [("rational", F), ("float", float)])
+def test_solvers_report_the_mode_number_type(mode, kind):
+    # Rational solves run on ints; none may leak into a report, and float
+    # mode must not pick up an int zero either.
+    inst = generate_instance(0, 5, 4, mode=mode)
+    args = (inst.cost, inst.space_x.weights, inst.space_y.weights, inst.ctx)
+    for solver in (ot.solve_alpha, ot.solve_alpha_star, ot.solve_beta, ot.solve_beta_star):
+        report = solver(*args)
+        numbers = [
+            report.value,
+            *report.potentials.f,
+            *report.potentials.g,
+            *(x for row in report.coupling.matrix for x in row),
+        ]
+        assert all(type(x) is kind for x in numbers), solver.__name__
+    assert all(type(x) is kind for x in ot.check_chain(*args).as_tuple())
+
+
+def _lattice_weights(rng, n, denominator):
+    cuts = sorted(rng.randrange(denominator + 1) for _ in range(n - 1))
+    bounds = [0, *cuts, denominator]
+    return tuple(F(b - a, denominator) for a, b in zip(bounds, bounds[1:]))
+
+
+def test_lattice_solves_match_the_oracle_and_the_fraction_simplex():
+    rng = Random(11)
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        mu = _lattice_weights(rng, m, rng.choice((3, 7, 9)))
+        nu = _lattice_weights(rng, n, rng.choice((3, 7, 9)))
+        c = tuple(
+            tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 11, 13))) for _ in range(n))
+            for _ in range(m)
+        )
+        neg = tuple(tuple(-x for x in row) for row in c)
+        for solver, objective, signed in (
+            (ot.solve_alpha, "alpha", c),
+            (ot.solve_alpha_star, "alpha_star", neg),
+        ):
+            report = solver(c, mu, nu)
+            assert report.value == ot.oracle_enumerate(c, mu, nu, objective)
+            pair, plan = report.potentials, report.coupling.matrix
+            for i in range(m):
+                for j in range(n):
+                    gap = c[i][j] - pair.f[i] - pair.g[j]
+                    assert gap >= 0 if objective == "alpha" else gap <= 0
+                    assert plan[i][j] == 0 or gap == 0
+            # The same simplex on Fractions ends on the same basis.
+            value, matrix, u, v = transport._network_simplex(signed, mu, nu, RATIONAL)
+            sign = 1 if objective == "alpha" else -1
+            assert (sign * value, matrix) == (report.value, plan)
+            assert tuple(sign * x for x in u + v) == pair.f + pair.g
