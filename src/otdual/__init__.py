@@ -26,10 +26,7 @@ from .costs import (
     CostMatrix,
     PotentialPair,
     as_cost,
-    constant_cost,
-    is_feasible_potential,
     potential_defect,
-    separable_cost,
 )
 from .couplings import (
     CoarseCoupling,
@@ -86,13 +83,11 @@ from .spaces import (
     make_space,
     mask_from_indices,
     mask_indices,
-    mask_intersection,
     mask_mass,
     mask_union,
     metric_repair,
     pushforward,
     singleton_partition,
-    uniform_space,
     validate_space,
 )
 from .transport import (

@@ -44,7 +44,7 @@ def lipschitz_infconv(
     if space_x.metric is None:
         raise ValidationError("infimal convolution needs a metric on X")
     ctx = resolve_context(ctx, cost.values, space_x.metric, n)
-    n = ctx.number(n)
+    n = ctx.number(n, "n")
     if n <= 0:
         raise ValidationError("the Lipschitz parameter must be positive")
     values = ctx.matrix(cost.values)

@@ -8,6 +8,7 @@ the ``elapsed_seconds`` field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,6 @@ from .couplings import CoarseCoupling, extend_coupling
 from .errors import DualityError, InvariantViolation, NotMonotone, ParseError, ValidationError
 from .instances import (
     Instance,
-    _parse_number,
     generate_instance,
     instance_to_jsonable,
     load_instance,
@@ -144,7 +144,7 @@ def _parse_n_list(text, ctx):
     for part in text.split(","):
         part = part.strip()
         if part:
-            out.append(_parse_number(part, ctx, "--n"))
+            out.append(ctx.number(part, "--n"))
     if not out:
         raise ValidationError("--n produced an empty stage list")
     return out
@@ -190,8 +190,8 @@ def _scenario_approx(instance, ctx, options):
 def _scenario_partition(instance, ctx, options):
     cost = _need_cost(instance)
     _need_metric(instance, "partition")
-    eps = _parse_number(options["eps"], ctx, "--eps")
-    bound = _parse_number(options["lipschitz"], ctx, "--lipschitz")
+    eps = ctx.number(options["eps"], "--eps")
+    bound = ctx.number(options["lipschitz"], "--lipschitz")
     mu, nu = instance.space_x.weights, instance.space_y.weights
     part = oscillation_partition(cost, eps, instance.space_x, bound, ctx)
     osc = oscillation(cost, part, ctx)
@@ -464,9 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser unchanged, so main builds one per process:
+# building it costs more than loading and solving a small instance.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.tolerance is not None and not (
             math.isfinite(args.tolerance) and args.tolerance >= 0

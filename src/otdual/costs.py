@@ -54,11 +54,6 @@ def potential_defect(pair: PotentialPair, values: Matrix, ctx: Context | None = 
     return worst
 
 
-def is_feasible_potential(pair: PotentialPair, values: Matrix, ctx: Context | None = None) -> bool:
-    ctx = resolve_context(ctx, values, pair.f, pair.g)
-    return ctx.leq(potential_defect(pair, values, ctx), 0)
-
-
 @dataclass(frozen=True)
 class CostMatrix:
     """A real cost matrix over X x Y.
@@ -100,17 +95,5 @@ def as_cost(c) -> CostMatrix:
     return CostMatrix(values=tuple(tuple(row) for row in c))
 
 
-def separable_cost(f: Sequence[Number], g: Sequence[Number]) -> CostMatrix:
-    return CostMatrix(values=tuple(tuple(fi + gj for gj in g) for fi in f))
-
-
-def constant_cost(m: int, n: int, value: Number) -> CostMatrix:
-    return CostMatrix(values=tuple((value,) * n for _ in range(m)))
-
-
 def negate_matrix(values: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in values)
-
-
-def shift_matrix(values: Matrix, t: Number) -> Matrix:
-    return tuple(tuple(x + t for x in row) for row in values)

@@ -8,14 +8,13 @@ schema.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import RATIONAL, Context, Number, format_number
+from .numeric import RATIONAL, Context, format_number
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -57,19 +56,6 @@ def _need(data, key, kind, where, optional=False):
     return value
 
 
-def _parse_number(value, ctx: Context, where: str) -> Number:
-    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
-        raise ParseError(f"{where} is not a number or 'p/q' string")
-    try:
-        number = ctx.number(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ParseError(f"cannot read number {value!r} in {where}: {exc}") from None
-    # Float mode takes the JSON literals NaN and Infinity as they are.
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ParseError(f"{where} is {value!r}, not a finite number")
-    return number
-
-
 def _parse_index(value, size: int, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{where} is not an integer index")
@@ -87,13 +73,13 @@ def _parse_indices(values, size: int, where: str) -> tuple[int, ...]:
 def _parse_vector(values, ctx, where) -> Vector:
     if not isinstance(values, list):
         raise ParseError(f"{where} must be a list")
-    return tuple(_parse_number(v, ctx, f"{where}[{i}]") for i, v in enumerate(values))
+    return ctx.vector(values, where)
 
 
 def _parse_matrix(rows, ctx, where) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where} must be a list of lists")
-    return tuple(_parse_vector(r, ctx, f"{where}[{i}]") for i, r in enumerate(rows))
+    return ctx.matrix(rows, where)
 
 
 def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:

@@ -5,6 +5,12 @@ comparisons exact) and ``float`` (IEEE doubles with a single global absolute
 tolerance, default 1e-9).  Every operation in the package takes an optional
 :class:`Context`; when omitted, the mode is inferred from the input data
 (any float anywhere selects float mode).
+
+:meth:`Context.number` and :func:`format_number` are the one number
+boundary: every number read, from an instance file, a CLI flag or a library
+call, goes through the first, and every number written goes through the
+second.  Both refuse non-finite values, which lie outside the real-valued
+costs and measures the transport values are defined for.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 Number = Union[int, Fraction, float]
 
@@ -40,34 +46,60 @@ class Context:
         """Absolute comparison slack: exactly 0 in rational mode."""
         return 0 if self.mode == RATIONAL_MODE else self.tolerance
 
-    def number(self, value) -> Number:
-        """Coerce ``value`` into this mode's number type.
+    def number(self, value, where: str = "value") -> Number:
+        """Read ``value`` as this mode's number type, naming it ``where``.
 
         Strings are read exactly ("3/4", "0.25", "2").  In rational mode a
         bare float is read through its shortest decimal representation, so
-        0.1 becomes 1/10, matching the decimal literal in an instance file.
+        0.1 becomes 1/10, matching the decimal literal in an instance file,
+        and a ``Fraction`` is returned as it is.  A ``bool``, any other
+        type, an unreadable string and a non-finite value raise
+        ``ParseError``.
         """
-        if self.mode == RATIONAL_MODE:
-            if isinstance(value, bool):
-                return Fraction(int(value))
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value {value!r} in rational mode")
-                return Fraction(str(value))
-            raise TypeError(f"cannot read {value!r} as a rational number")
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+        rational = self.mode == RATIONAL_MODE
+        # The common cases first: each is already its mode's number.
+        if rational:
+            if isinstance(value, Fraction):
+                return value
+        elif type(value) is float and math.isfinite(value):
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
+            raise ParseError(f"{where} is not a number or 'p/q' string")
+        try:
+            if not rational:
+                number = float(Fraction(value) if isinstance(value, str) else value)
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite value {value!r} in rational mode")
+            else:
+                return Fraction(str(value) if isinstance(value, float) else value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ParseError(f"cannot read number {value!r} in {where}: {exc}") from None
+        # float() passes NaN and the infinities through.
+        if not math.isfinite(number):
+            raise ParseError(f"{where} is {value!r}, not a finite number")
+        return number
 
-    def vector(self, values) -> tuple[Number, ...]:
-        return tuple(self.number(v) for v in values)
+    def vector(self, values, where: str = "value") -> tuple[Number, ...]:
+        """Each entry read by :meth:`number`; a bad one is named ``where[i]``."""
+        values = tuple(values)
+        try:
+            return tuple(map(self.number, values))
+        except ParseError:
+            # Label only on failure: building every label costs more than
+            # reading the entries.
+            for i, value in enumerate(values):
+                self.number(value, f"{where}[{i}]")
+            raise
 
-    def matrix(self, rows) -> tuple[tuple[Number, ...], ...]:
-        return tuple(tuple(self.number(v) for v in row) for row in rows)
+    def matrix(self, rows, where: str = "value") -> tuple[tuple[Number, ...], ...]:
+        """Each row read by :meth:`vector`; a bad entry is named ``where[i][j]``."""
+        rows = tuple(rows)
+        try:
+            return tuple(tuple(map(self.number, row)) for row in rows)
+        except ParseError:
+            for i, row in enumerate(rows):
+                self.vector(row, f"{where}[{i}]")
+            raise
 
     # Comparisons.  "lt" means strictly below beyond the tolerance.
     def eq(self, a, b) -> bool:
@@ -129,6 +161,8 @@ def format_number(value, mode: str):
 
     Numbers become exact "p/q" strings in rational mode and floats in float
     mode; tuples and lists become lists of rendered values; None stays None.
+    A non-finite float, left by an overflow in float arithmetic, raises
+    ``ValidationError``: JSON has no such number.
     """
     if value is None:
         return None
@@ -136,4 +170,9 @@ def format_number(value, mode: str):
         return [format_number(x, mode) for x in value]
     if mode == RATIONAL_MODE:
         return str(Fraction(value))
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(
+            f"cannot report the non-finite value {number!r}; float arithmetic overflowed"
+        )
+    return number

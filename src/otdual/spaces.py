@@ -6,7 +6,6 @@ function, so values can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
@@ -42,12 +41,6 @@ def mask_union(*masks: Mask) -> Mask:
     if not masks:
         raise ValidationError("union of zero masks has no length")
     return tuple(any(bits) for bits in zip(*masks))
-
-
-def mask_intersection(*masks: Mask) -> Mask:
-    if not masks:
-        raise ValidationError("intersection of zero masks has no length")
-    return tuple(all(bits) for bits in zip(*masks))
 
 
 def mask_mass(weights: Sequence[Number], mask: Mask) -> Number:
@@ -99,10 +92,6 @@ def make_space(weights, metric=None, points=None, prefix: str = "x") -> Probabil
     if points is None:
         points = tuple(f"{prefix}{i}" for i in range(len(weights)))
     return ProbabilitySpace(points=tuple(points), weights=weights, metric=metric)
-
-
-def uniform_space(n: int, metric=None, prefix: str = "x") -> ProbabilitySpace:
-    return make_space([Fraction(1, n)] * n, metric=metric, prefix=prefix)
 
 
 @dataclass(frozen=True)

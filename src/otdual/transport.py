@@ -121,9 +121,9 @@ class ChainReport:
 def _validated_inputs(c, mu, nu, ctx):
     cost = as_cost(c)
     ctx = resolve_context(ctx, cost.values, tuple(mu), tuple(nu))
-    values = ctx.matrix(cost.values)
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
+    values = ctx.matrix(cost.values, "cost")
+    mu = ctx.vector(mu, "mu")
+    nu = ctx.vector(nu, "nu")
     m, n = len(mu), len(nu)
     if len(values) != m or any(len(row) != n for row in values):
         raise DimensionMismatch(

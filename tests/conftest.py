@@ -1,8 +1,12 @@
 import time
+from fractions import Fraction
 
 import pytest
 
 from otdual import transport
+from otdual.costs import CostMatrix, potential_defect
+from otdual.numeric import resolve_context
+from otdual.spaces import make_space
 
 SESSION_START = time.perf_counter()
 
@@ -60,3 +64,32 @@ def brute_min_cover_value(family, mu, nu):
         if best is None or value < best:
             best = value
     return best
+
+
+# Small builders that only the tests need.
+
+def separable_cost(f, g):
+    """The cost f(x) + g(y)."""
+    return CostMatrix(values=tuple(tuple(fi + gj for gj in g) for fi in f))
+
+
+def constant_cost(m, n, value):
+    return CostMatrix(values=tuple((value,) * n for _ in range(m)))
+
+
+def shift_matrix(values, t):
+    return tuple(tuple(x + t for x in row) for row in values)
+
+
+def uniform_space(n):
+    return make_space([Fraction(1, n)] * n)
+
+
+def mask_intersection(*masks):
+    return tuple(all(bits) for bits in zip(*masks))
+
+
+def is_feasible_potential(pair, values):
+    """Whether the pair meets its side's inequality everywhere."""
+    ctx = resolve_context(None, values, pair.f, pair.g)
+    return ctx.leq(potential_defect(pair, values, ctx), 0)

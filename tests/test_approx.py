@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import constant_cost, separable_cost, shift_matrix
 
 import otdual as ot
 from otdual.errors import (
@@ -29,7 +30,7 @@ def line_space(n=3):
 
 def test_constant_cost_is_a_fixed_point():
     space = line_space()
-    c = ot.constant_cost(3, 2, F(9, 4))
+    c = constant_cost(3, 2, F(9, 4))
     for n in (F(1, 2), 1, 7):
         assert ot.lipschitz_infconv(c, n, space).values == c.values
 
@@ -192,7 +193,7 @@ def test_discretization_error_bounded_by_oscillation():
 def test_oscillation_zero_for_singletons_and_constants():
     c = random_cost_matrix(Random(8), 3, 2)
     assert ot.oscillation(c, ot.singleton_partition(3)) == (0, 0, 0)
-    const = ot.constant_cost(3, 2, 5)
+    const = constant_cost(3, 2, 5)
     one_cell = ot.Partition(cells=(ot.mask_from_indices(3, [0, 1, 2]),), representatives=(0,))
     assert ot.oscillation(const, one_cell) == (0,)
 
@@ -275,7 +276,7 @@ def test_normalize_separable_gives_zero():
     f = (F(1), F(2))
     g = (F(3), F(-1))
     pair = ot.PotentialPair(f=f, g=g, side="lower")
-    h = ot.normalize_cost(ot.separable_cost(f, g), pair)
+    h = ot.normalize_cost(separable_cost(f, g), pair)
     assert h.values == ((0, 0), (0, 0))
 
 
@@ -302,7 +303,7 @@ def test_constant_shift_stages():
     c = random_cost_matrix(rng, 3, 2)
     base_value = ot.solve_beta_star(c, mu, nu).value
     stages = tuple(
-        (n, ot.CostMatrix(values=ot.costs.shift_matrix(ot.as_cost(c).values, -F(1, n))))
+        (n, ot.CostMatrix(values=shift_matrix(ot.as_cost(c).values, -F(1, n))))
         for n in (1, 2, 4)
     )
     seq = ot.ApproximantSequence(base_cost=ot.as_cost(c), stages=stages)
@@ -329,7 +330,7 @@ def test_doubling_infconv_stages_reach_beta_star_exactly():
 
 
 def test_constant_sequence_is_flat():
-    c = ot.constant_cost(2, 2, F(3, 2))
+    c = constant_cost(2, 2, F(3, 2))
     seq = ot.ApproximantSequence(base_cost=c, stages=((1, c), (2, c)))
     report = ot.beta_star_limit_check(seq, (F(1, 2),) * 2, (F(1, 2),) * 2)
     assert report.stage_values == (F(3, 2), F(3, 2))
@@ -337,8 +338,8 @@ def test_constant_sequence_is_flat():
 
 
 def test_non_monotone_stages_rejected():
-    lowered = ot.constant_cost(2, 2, 0)
-    raised = ot.constant_cost(2, 2, 1)
+    lowered = constant_cost(2, 2, 0)
+    raised = constant_cost(2, 2, 1)
     seq = ot.ApproximantSequence(base_cost=raised, stages=((1, raised), (2, lowered)))
     with pytest.raises(NotMonotone):
         ot.beta_star_limit_check(seq, (F(1, 2),) * 2, (F(1, 2),) * 2)

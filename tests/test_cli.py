@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
+import otdual as ot
 from otdual import rectangles
 from otdual.cli import main, run_scenario
 from otdual.errors import DualityError, ParseError, ValidationError
@@ -258,6 +260,63 @@ def test_library_rejects_an_unknown_mode():
         parse_instance(minimal_doc(), mode_override="decimal")
 
 
+HALF = (F(1, 2), F(1, 2))
+SWAP = ((0, 1), (1, 0))
+LIBRARY_SOLVERS = (
+    ot.solve_alpha, ot.solve_alpha_star, ot.solve_beta, ot.solve_beta_star, ot.check_chain,
+)
+BAD_NUMBERS = (float("nan"), float("inf"), "x", None, True, "1/0")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("solver", LIBRARY_SOLVERS, ids=lambda f: f.__name__)
+def test_library_solvers_name_a_bad_number(solver, bad, mode):
+    ctx = ot.Context(mode)
+    with pytest.raises(DualityError, match=re.escape("cost[0][1]")):
+        solver(((0, bad), (1, 0)), HALF, HALF, ctx)
+    with pytest.raises(DualityError, match=re.escape("mu[0]")):
+        solver(SWAP, (bad, F(1, 2)), HALF, ctx)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda bad, ctx: ot.oracle_enumerate(((0, bad), (1, 0)), HALF, HALF, "alpha", ctx=ctx),
+    lambda bad, ctx: ot.min_cover(
+        ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),)), (bad, F(1, 2)), HALF, ctx
+    ),
+    lambda bad, ctx: ot.wasserstein1(((0, bad), (bad, 0)), HALF, HALF, ctx),
+], ids=["oracle_enumerate", "min_cover", "wasserstein1"])
+def test_library_entries_reject_a_bad_number(call, bad, mode):
+    with pytest.raises(DualityError):
+        call(bad, ot.Context(mode))
+
+
+def test_float_overflow_exits_2_without_non_finite_json(tmp_path, capsys):
+    # A cost whose potentials overflow the float range, leaving NaN and inf.
+    wide = {
+        "arithmetic": "float",
+        "space_x": {"weights": [0.5, 0.5]},
+        "space_y": {"weights": [0.5, 0.5]},
+        "cost": {"matrix": [[1e308, -1e308], [-1e308, 1e308]]},
+    }
+    # A Lipschitz modulus of 1e308: approx doubles its stages up to inf.
+    steep = swap_doc()
+    steep["arithmetic"] = "float"
+    steep["cost"]["matrix"][0][1] = 1e308
+    wide, steep = write(tmp_path, wide, "wide.json"), write(tmp_path, steep, "steep.json")
+    for args, named in (
+        (["solve", wide], "overflowed"),
+        (["chain", wide], "overflowed"),
+        (["approx", steep], "n is inf"),
+    ):
+        assert run(args) == 2, args
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and "Infinity" not in out, args
+        assert err.startswith("error: ") and named in err, (args, err)
+
+
 def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     doc = swap_doc()
     doc["arithmetic"] = "float"
@@ -299,15 +358,18 @@ def test_malformed_fields_never_raise(tmp_path, capsys):
     paths = list(field_paths(swap_doc()))
     assert len(paths) == 48
     for path in paths:
-        for value in (-1, 2, 0.5, "a", True, None, [], ["a"], {}):
+        for value in (-1, 2, 0.5, "a", True, None, [], ["a"], {}, 1e308, -1e308, "1/0"):
             doc = swap_doc()
             parent = doc
             for key in path[:-1]:
                 parent = parent[key]
             parent[path[-1]] = value
-            code = main(["extend", write(tmp_path, doc)])
-            capsys.readouterr()
-            assert code in (0, 1, 2), (path, value, code)
+            instance = write(tmp_path, doc)
+            for flags in ((), ("--mode", "float")):
+                code = main(["extend", instance, *flags])
+                out = capsys.readouterr().out
+                assert code in (0, 1, 2), (path, value, flags, code)
+                assert "NaN" not in out and "Infinity" not in out, (path, value, flags)
 
 
 def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import is_feasible_potential, separable_cost
 
 import otdual as ot
 from otdual.errors import ValidationError
@@ -14,11 +15,11 @@ def test_cost_matrix_rejects_ragged_rows():
 def test_separable_cost_and_witness():
     f = (F(1), F(-2))
     g = (F(0), F(3))
-    cost = ot.separable_cost(f, g)
+    cost = separable_cost(f, g)
     assert cost.values == ((1, 4), (-2, 1))
     pair = ot.PotentialPair(f=f, g=g, side="lower")
     assert ot.potential_defect(pair, cost.values) == 0
-    assert ot.is_feasible_potential(pair, cost.values)
+    assert is_feasible_potential(pair, cost.values)
 
 
 def test_witness_validated_on_construction():

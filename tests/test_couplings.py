@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from conftest import mask_intersection
 
 import otdual as ot
 from otdual.errors import (
@@ -199,6 +200,6 @@ def test_diagonal_mass_of_rectangle_union_is_mass_of_intersections():
     h = family.union_matrix()
     plan = ot.diagonal_coupling(mu)
     overlap = ot.mask_union(
-        *[ot.mask_intersection(a, b) for a, b in family.rects]
+        *[mask_intersection(a, b) for a, b in family.rects]
     )
     assert ot.transport_value(plan, h) == ot.mask_mass(mu, overlap) == F(1, 2)

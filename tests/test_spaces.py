@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import uniform_space
 
 import otdual as ot
 from otdual.errors import IndexOutOfRange, ValidationError, ZeroMassCell
@@ -43,7 +44,7 @@ def test_space_shape_mismatch_rejected():
 # --- conditional_measure ---------------------------------------------------
 
 def test_conditional_uniform_pair():
-    space = ot.uniform_space(4)
+    space = uniform_space(4)
     cell = ot.mask_from_indices(4, [0, 1])
     assert ot.conditional_measure(space, cell) == (F(1, 2), F(1, 2), 0, 0)
 
@@ -107,25 +108,25 @@ def test_pushforward_preserves_total_mass(weights, data):
 # --- limsup_mass -----------------------------------------------------------
 
 def test_limsup_empty_sets():
-    space = ot.uniform_space(3)
+    space = uniform_space(3)
     sets = [ot.mask_from_indices(3, [])] * 4
     assert ot.limsup_mass(space, sets, 0) == 0
 
 
 def test_limsup_full_space():
-    space = ot.uniform_space(2)
+    space = uniform_space(2)
     sets = [ot.mask_from_indices(2, [0, 1])] * 3
     assert ot.limsup_mass(space, sets, 0) == 1
 
 
 def test_limsup_tail_union():
-    space = ot.uniform_space(4)
+    space = uniform_space(4)
     sets = [ot.mask_from_indices(4, [i]) for i in range(3)]
     assert ot.limsup_mass(space, sets, 1) == F(1, 2)
 
 
 def test_limsup_from_index_checked():
-    space = ot.uniform_space(2)
+    space = uniform_space(2)
     with pytest.raises(IndexOutOfRange):
         ot.limsup_mass(space, [ot.mask_from_indices(2, [0])], 1)
 

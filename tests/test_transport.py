@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from conftest import constant_cost, is_feasible_potential, separable_cost, shift_matrix
 
 import otdual as ot
 from otdual import transport
@@ -39,16 +40,16 @@ def test_swap_cost_alpha_star_is_antidiagonal():
 def test_swap_cost_beta_values_and_witnesses():
     beta = ot.solve_beta(SWAP_COST, HALF, HALF)
     assert beta.value == 0
-    assert ot.is_feasible_potential(beta.potentials, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(beta.potentials, ot.as_cost(SWAP_COST).values)
     # (0, 0) is feasible and already optimal for the lower dual
     zero_pair = ot.PotentialPair(f=(0, 0), g=(0, 0), side="lower")
     assert zero_pair.dual_value(HALF, HALF) == beta.value
 
     beta_star = ot.solve_beta_star(SWAP_COST, HALF, HALF)
     assert beta_star.value == 1
-    assert ot.is_feasible_potential(beta_star.potentials, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(beta_star.potentials, ot.as_cost(SWAP_COST).values)
     half_pair = ot.PotentialPair(f=HALF, g=HALF, side="upper")
-    assert ot.is_feasible_potential(half_pair, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(half_pair, ot.as_cost(SWAP_COST).values)
     assert half_pair.dual_value(HALF, HALF) == beta_star.value
 
 
@@ -69,7 +70,7 @@ def test_separable_cost_closes_every_gap():
     mu = (F(1, 4), F(1, 4), F(1, 2))
     nu = (F(2, 3), F(1, 3))
     expected = sum(a * b for a, b in zip(mu, f)) + sum(a * b for a, b in zip(nu, g))
-    chain = ot.check_chain(ot.separable_cost(f, g), mu, nu)
+    chain = ot.check_chain(separable_cost(f, g), mu, nu)
     assert chain.as_tuple() == (expected,) * 4
 
 
@@ -82,7 +83,7 @@ def test_point_mass_row_gives_expectation():
 
 
 def test_constant_cost_is_constant():
-    c = ot.constant_cost(2, 3, F(7, 2))
+    c = constant_cost(2, 3, F(7, 2))
     chain = ot.check_chain(c, HALF, (F(1, 3),) * 3)
     assert chain.as_tuple() == (F(7, 2),) * 4
 
@@ -94,7 +95,7 @@ def test_shift_identity_for_beta():
     c = random_cost_matrix(rng, 3, 4)
     t = F(9, 7)
     base = ot.solve_beta(c, mu, nu).value
-    shifted = ot.solve_beta(ot.CostMatrix(values=ot.costs.shift_matrix(c, t)), mu, nu).value
+    shifted = ot.solve_beta(ot.CostMatrix(values=shift_matrix(c, t)), mu, nu).value
     assert shifted == base + t
 
 
@@ -118,7 +119,7 @@ def test_alpha_report_satisfies_complementary_slackness():
         nu = random_weights(rng, n)
         c = random_cost_matrix(rng, m, n)
         report = ot.solve_alpha(c, mu, nu)
-        assert ot.is_feasible_potential(report.potentials, ot.as_cost(c).values)
+        assert is_feasible_potential(report.potentials, ot.as_cost(c).values)
         assert report.potentials.dual_value(mu, nu) == report.value
         for i in range(m):
             for j in range(n):
@@ -141,7 +142,7 @@ def test_weak_duality_against_random_witnesses():
         )
         g = tuple(x + slack for x in g_raw)
         pair = ot.PotentialPair(f=f, g=g, side="lower")
-        assert ot.is_feasible_potential(pair, ot.as_cost(c).values)
+        assert is_feasible_potential(pair, ot.as_cost(c).values)
         plan = random_coupling(rng, mu, nu)
         assert pair.dual_value(mu, nu) <= ot.transport_value(plan, ot.as_cost(c).values)
 
