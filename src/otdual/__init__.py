@@ -51,6 +51,7 @@ from .errors import (
     NotMonotone,
     ParseError,
     SpaceMismatch,
+    UnknownObjective,
     ValidationError,
     ZeroMassCell,
 )

@@ -111,6 +111,11 @@ def partition_discretize(c, partition: Partition, ctx: Context | None = None) ->
     return CostMatrix(values=tuple(rows))
 
 
+def _row_spread(a, b) -> Number:
+    """sup over y of |a(y) - b(y)|, the distance of two cost rows; 0 for empty rows."""
+    return max((abs(x - z) for x, z in zip(a, b)), default=0)
+
+
 def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Number | None, ...]:
     """Per cell, the worst sup over y of |c(x,y) - c(z,y)| for x, z in the cell.
 
@@ -118,6 +123,7 @@ def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Nu
     """
     values = as_cost(c).values
     ctx = resolve_context(ctx, values)
+    values = ctx.matrix(values, "cost")
     if len(values) != partition.size:
         raise ValidationError("cost row count differs from the partition size")
     out: list[Number | None] = []
@@ -128,10 +134,8 @@ def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Nu
         members = mask_indices(cell)
         worst = ctx.number(0)
         for a in range(len(members)):
-            ra = values[members[a]]
             for b in range(a + 1, len(members)):
-                rb = values[members[b]]
-                spread = max(abs(x - z) for x, z in zip(ra, rb)) if ra else ctx.number(0)
+                spread = _row_spread(values[members[a]], values[members[b]])
                 if spread > worst:
                     worst = spread
         out.append(worst)
@@ -167,7 +171,7 @@ def oscillation_partition(
         raise ValidationError("cost row count differs from the X point count")
     for x in range(m):
         for z in range(x + 1, m):
-            spread = max(abs(a - b) for a, b in zip(values[x], values[z])) if values[x] else 0
+            spread = _row_spread(values[x], values[z])
             if not ctx.leq(spread, u * d[x][z]):
                 raise LipschitzBoundViolated(
                     f"|c({x},.) - c({z},.)| reaches {spread} > {u} * d = {u * d[x][z]}",
@@ -224,10 +228,12 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
     """
     values = as_cost(c).values
     ctx = resolve_context(ctx, values, tuple(tuple(r) for r in metric))
+    values = ctx.matrix(values, "cost")
+    metric = ctx.matrix(metric, "metric")
     worst = ctx.number(0)
     for x in range(len(values)):
         for z in range(x + 1, len(values)):
-            spread = max(abs(a - b) for a, b in zip(values[x], values[z])) if values[x] else 0
+            spread = _row_spread(values[x], values[z])
             dist = metric[x][z]
             if ctx.is_zero(dist):
                 if not ctx.is_zero(spread):

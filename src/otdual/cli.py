@@ -13,6 +13,8 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .approx import (
     beta_star_limit_check,
@@ -60,18 +62,6 @@ def _check(name, ok, **detail):
     return entry
 
 
-def _need_cost(instance: Instance):
-    if instance.cost is None:
-        raise ValidationError("this scenario needs a 'cost' field in the instance")
-    return instance.cost
-
-
-def _need_metric(instance: Instance, verb: str):
-    if instance.space_x.metric is None:
-        raise ValidationError(f"the {verb} scenario needs a metric on space_x")
-    return instance.space_x.metric
-
-
 def _coupling_checks(ctx, name, coupling):
     d = coupling_defects(coupling, ctx)
     return _check(
@@ -85,7 +75,7 @@ def _coupling_checks(ctx, name, coupling):
 
 
 def _scenario_solve(instance, ctx, options):
-    cost = _need_cost(instance)
+    cost = instance.cost
     mu, nu = instance.space_x.weights, instance.space_y.weights
     low = solve_alpha(cost, mu, nu, ctx)
     high = solve_alpha_star(cost, mu, nu, ctx)
@@ -128,7 +118,7 @@ def _scenario_solve(instance, ctx, options):
 
 
 def _scenario_chain(instance, ctx, options):
-    cost = _need_cost(instance)
+    cost = instance.cost
     chain = check_chain(cost, instance.space_x.weights, instance.space_y.weights, ctx)
     result = {
         "beta": format_number(chain.beta, ctx.mode),
@@ -151,8 +141,7 @@ def _parse_n_list(text, ctx):
 
 
 def _scenario_approx(instance, ctx, options):
-    cost = _need_cost(instance)
-    metric = _need_metric(instance, "approx")
+    cost, metric = instance.cost, instance.space_x.metric
     mu, nu = instance.space_x.weights, instance.space_y.weights
     modulus = lipschitz_modulus(cost, metric, ctx)
     if options.get("n"):
@@ -188,8 +177,7 @@ def _scenario_approx(instance, ctx, options):
 
 
 def _scenario_partition(instance, ctx, options):
-    cost = _need_cost(instance)
-    _need_metric(instance, "partition")
+    cost = instance.cost
     eps = ctx.number(options["eps"], "--eps")
     bound = ctx.number(options["lipschitz"], "--lipschitz")
     mu, nu = instance.space_x.weights, instance.space_y.weights
@@ -223,10 +211,7 @@ def _scenario_partition(instance, ctx, options):
 
 
 def _scenario_extend(instance, ctx, options):
-    cost = _need_cost(instance)
-    if instance.partition is None:
-        raise ValidationError("the extend scenario needs a 'partition' field")
-    part = instance.partition
+    cost, part = instance.cost, instance.partition
     mu, nu = instance.space_x.weights, instance.space_y.weights
     masses = part.cell_masses(mu)
     null = part.null_cell_index
@@ -270,14 +255,8 @@ def _scenario_extend(instance, ctx, options):
     return result, checks
 
 
-def _need_rectangles(instance):
-    if instance.rectangles is None:
-        raise ValidationError("this scenario needs a 'rectangles' field")
-    return instance.rectangles
-
-
 def _scenario_cover(instance, ctx, options):
-    family = _need_rectangles(instance)
+    family = instance.rectangles
     mu, nu = instance.space_x.weights, instance.space_y.weights
     cover = min_cover(family, mu, nu, ctx)
     best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
@@ -295,7 +274,7 @@ def _scenario_cover(instance, ctx, options):
 
 
 def _scenario_arveson(instance, ctx, options):
-    family = _need_rectangles(instance)
+    family = instance.rectangles
     mu, nu = instance.space_x.weights, instance.space_y.weights
     outcome = arveson_witness(family, mu, nu, ctx)
     if isinstance(outcome, Cover):
@@ -327,7 +306,7 @@ def _scenario_arveson(instance, ctx, options):
 
 
 def _scenario_wasserstein(instance, ctx, options):
-    metric = _need_metric(instance, "wasserstein")
+    metric = instance.space_x.metric
     if instance.space_x.size != instance.space_y.size:
         raise ValidationError(
             "wasserstein needs mu and nu on one point set; the spaces differ in size"
@@ -350,7 +329,7 @@ def _scenario_wasserstein(instance, ctx, options):
 
 
 def _scenario_oracle_check(instance, ctx, options):
-    cost = _need_cost(instance)
+    cost = instance.cost
     mu, nu = instance.space_x.weights, instance.space_y.weights
     cap = options.get("cap", DEFAULT_CELL_CAP)
     low = solve_alpha(cost, mu, nu, ctx).value
@@ -369,16 +348,47 @@ def _scenario_oracle_check(instance, ctx, options):
     return result, [_check("solver_matches_oracle", ok)]
 
 
-_SCENARIOS = {
-    "solve": _scenario_solve,
-    "chain": _scenario_chain,
-    "approx": _scenario_approx,
-    "partition": _scenario_partition,
-    "extend": _scenario_extend,
-    "cover": _scenario_cover,
-    "arveson": _scenario_arveson,
-    "wasserstein": _scenario_wasserstein,
-    "oracle-check": _scenario_oracle_check,
+# The message naming each instance field a verb can need, when it is absent.
+_MISSING = {
+    "cost": "this scenario needs a 'cost' field in the instance",
+    "metric": "the {verb} scenario needs a metric on space_x",
+    "partition": "the {verb} scenario needs a 'partition' field",
+    "rectangles": "this scenario needs a 'rectangles' field",
+}
+
+
+@dataclass(frozen=True)
+class _Verb:
+    """A CLI verb: its scenario, the instance fields it needs, its help and flags."""
+
+    scenario: Callable
+    needs: tuple[str, ...]
+    help: str
+    flags: dict = field(default_factory=dict)
+
+
+# Every verb but ``gen``, in the order ``otdual --help`` lists them.
+_VERBS = {
+    "solve": _Verb(_scenario_solve, ("cost",), "all four values with optimality witnesses"),
+    "chain": _Verb(_scenario_chain, ("cost",),
+                   "the ordered quadruple (beta, alpha, alpha*, beta*)"),
+    "extend": _Verb(_scenario_extend, ("cost", "partition"),
+                    "solve the coarse problem and extend its plan to the full space"),
+    "cover": _Verb(_scenario_cover, ("rectangles",), "minimal cover of the rectangle union"),
+    "arveson": _Verb(_scenario_arveson, ("rectangles",),
+                     "null cover or counter-evidence for the rectangle union"),
+    "wasserstein": _Verb(_scenario_wasserstein, ("metric",),
+                         "metric cost solved along both dual routes"),
+    "approx": _Verb(_scenario_approx, ("cost", "metric"),
+                    "infimal-convolution stages and beta* limits",
+                    {"--n": {"help": "comma-separated stage parameters"}}),
+    "partition": _Verb(_scenario_partition, ("cost", "metric"),
+                       "oscillation partition and value transfer",
+                       {"--eps": {"required": True, "help": "oscillation level"},
+                        "--lipschitz": {"required": True, "help": "uniform Lipschitz bound"}}),
+    "oracle-check": _Verb(_scenario_oracle_check, ("cost",), "compare the solver with enumeration",
+                          {"--cap": {"type": int, "default": DEFAULT_CELL_CAP,
+                                     "help": "max cell count to enumerate"}}),
 }
 
 
@@ -387,12 +397,17 @@ def run_scenario(instance: Instance, command: str, options: dict | None = None) 
 
     A broken solver invariant becomes the failed check ``solver_invariants``.
     """
-    if command not in _SCENARIOS:
-        raise ValidationError(f"unknown command {command!r}; known: {sorted(_SCENARIOS)}")
+    verb = _VERBS.get(command)
+    if verb is None:
+        raise ValidationError(f"unknown command {command!r}; known: {sorted(_VERBS)}")
+    for field in verb.needs:
+        owner = instance.space_x if field == "metric" else instance
+        if getattr(owner, field) is None:
+            raise ValidationError(_MISSING[field].format(verb=command))
     ctx = instance.ctx
     started = time.perf_counter()
     try:
-        result, checks = _SCENARIOS[command](instance, ctx, options or {})
+        result, checks = verb.scenario(instance, ctx, options or {})
     except InvariantViolation as exc:
         result, checks = {}, [_check("solver_invariants", False, error=str(exc))]
     elapsed = time.perf_counter() - started
@@ -431,32 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("solve", "all four values with optimality witnesses"),
-        ("chain", "the ordered quadruple (beta, alpha, alpha*, beta*)"),
-        ("extend", "solve the coarse problem and extend its plan to the full space"),
-        ("cover", "minimal cover of the rectangle union"),
-        ("arveson", "null cover or counter-evidence for the rectangle union"),
-        ("wasserstein", "metric cost solved along both dual routes"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help, parents=[common])
         p.add_argument("instance", help="path to the instance JSON file")
-
-    p = sub.add_parser("approx", help="infimal-convolution stages and beta* limits",
-                       parents=[common])
-    p.add_argument("instance")
-    p.add_argument("--n", default=None, help="comma-separated stage parameters")
-
-    p = sub.add_parser("partition", help="oscillation partition and value transfer",
-                       parents=[common])
-    p.add_argument("instance")
-    p.add_argument("--eps", required=True, help="oscillation level")
-    p.add_argument("--lipschitz", required=True, help="uniform Lipschitz bound")
-
-    p = sub.add_parser("oracle-check", help="compare the solver with enumeration",
-                       parents=[common])
-    p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP, help="max cell count to enumerate")
+        for flag, settings in verb.flags.items():
+            p.add_argument(flag, **settings)
 
     p = sub.add_parser("gen", help="emit a random instance", parents=[common])
     p.add_argument("--seed", type=int, required=True)
@@ -490,11 +484,7 @@ def main(argv=None) -> int:
         instance = load_instance(
             args.instance, mode_override=args.mode, tolerance=args.tolerance
         )
-        options = {
-            key: getattr(args, key.replace("-", "_"))
-            for key in ("n", "eps", "lipschitz", "cap")
-            if hasattr(args, key.replace("-", "_"))
-        }
+        options = {flag[2:]: getattr(args, flag[2:]) for flag in _VERBS[args.command].flags}
         report = run_scenario(instance, args.command, options)
         _emit(report, args.output)
         return 0 if report["ok"] else 1

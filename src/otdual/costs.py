@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, resolve_context
+from .numeric import Context, Number, as_tuple, resolve_context
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -92,7 +92,8 @@ class CostMatrix:
 def as_cost(c) -> CostMatrix:
     if isinstance(c, CostMatrix):
         return c
-    return CostMatrix(values=tuple(tuple(row) for row in c))
+    rows = as_tuple(c, "cost")
+    return CostMatrix(values=tuple(as_tuple(row, f"cost[{i}]") for i, row in enumerate(rows)))
 
 
 def negate_matrix(values: Matrix) -> Matrix:

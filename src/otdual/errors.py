@@ -13,6 +13,10 @@ class InfeasibleMarginals(DualityError):
     """A marginal weight vector is negative somewhere or does not sum to 1."""
 
 
+class UnknownObjective(DualityError, ValueError):
+    """An objective name is neither 'alpha' nor 'alpha_star'."""
+
+
 class InstanceTooLarge(DualityError):
     """The instance exceeds the configured enumeration cap."""
 

@@ -21,9 +21,11 @@ from .spaces import (
     Partition,
     ProbabilitySpace,
     Vector,
+    make_space,
     mask_from_indices,
     mask_indices,
     metric_repair,
+    pushforward,
     validate_space,
 )
 from .transport import _northwest_basis
@@ -85,8 +87,6 @@ def _parse_matrix(rows, ctx, where) -> Matrix:
 def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
     weights = _parse_vector(_need(data, "weights", list, where), ctx, f"{where}.weights")
     points = _need(data, "points", list, where, optional=True)
-    if points is None:
-        points = [f"{where[-1]}{i}" for i in range(len(weights))]
     metric = data.get("metric")
     if metric is not None:
         metric = _parse_matrix(metric, ctx, f"{where}.metric")
@@ -96,7 +96,7 @@ def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
         if len(coords) != len(weights):
             raise ValidationError(f"{where}.coords length differs from weights")
     try:
-        space = ProbabilitySpace(points=tuple(points), weights=weights, metric=metric)
+        space = make_space(weights, metric, points, prefix=where[-1])
     except DualityError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     return space, coords
@@ -354,31 +354,17 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
     rng = Random(seed)
     mu = random_weights(rng, m)
     mapping = tuple(rng.randrange(n) for _ in range(m))
-    nu_map: list[Fraction] = [Fraction(0)] * n
-    for i, t in enumerate(mapping):
-        nu_map[t] += mu[i]
+    nu = pushforward(make_space(mu), mapping, n)
     metric = random_metric(rng, m)
     cost = random_cost_matrix(rng, m, n)
     rectangles = random_rectangles(rng, m, n)
     partition = random_partition(rng, m)
     ctx = Context(mode)
-    space_x = ProbabilitySpace(
-        points=tuple(f"x{i}" for i in range(m)),
-        weights=ctx.vector(mu),
-        metric=ctx.matrix(metric),
-    )
-    space_y = ProbabilitySpace(
-        points=tuple(f"y{j}" for j in range(n)),
-        weights=ctx.vector(nu_map),
-    )
     return Instance(
         ctx=ctx,
-        space_x=space_x,
-        space_y=space_y,
+        space_x=make_space(ctx.vector(mu), ctx.matrix(metric)),
+        space_y=make_space(ctx.vector(nu), prefix="y"),
         cost=CostMatrix(values=ctx.matrix(cost)),
-        cost_formula=None,
-        coords_x=None,
-        coords_y=None,
         rectangles=rectangles,
         partition=partition,
         mapping=mapping,

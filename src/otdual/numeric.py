@@ -10,7 +10,8 @@ tolerance, default 1e-9).  Every operation in the package takes an optional
 boundary: every number read, from an instance file, a CLI flag or a library
 call, goes through the first, and every number written goes through the
 second.  Both refuse non-finite values, which lie outside the real-valued
-costs and measures the transport values are defined for.
+costs and measures the transport values are defined for.  :func:`as_tuple`
+names an argument that should hold numbers but is not a sequence.
 """
 from __future__ import annotations
 
@@ -120,6 +121,14 @@ class Context:
 
 RATIONAL = Context(RATIONAL_MODE)
 FLOAT = Context(FLOAT_MODE)
+
+
+def as_tuple(values, where: str) -> tuple:
+    """``values`` as a tuple; ``ParseError`` naming ``where`` if it is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ParseError(f"{where} is not a sequence") from None
 
 
 def infer_context(*objects) -> Context:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, UnknownObjective
 from .numeric import Context, Number, resolve_context
 from .spaces import Matrix
 from .transport import ALPHA, ALPHA_STAR, _validated_inputs
@@ -106,7 +106,7 @@ def oracle_enumerate(
 ) -> Number:
     """Extreme of sum P*c over all enumerated basic feasible couplings."""
     if objective not in (ALPHA, ALPHA_STAR):
-        raise ValueError(f"objective must be 'alpha' or 'alpha_star', got {objective!r}")
+        raise UnknownObjective(f"objective must be 'alpha' or 'alpha_star', got {objective!r}")
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     vertices = transport_polytope_vertices(mu, nu, cap=cap, ctx=ctx)
     totals = [

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
-from .numeric import FLOAT_MODE, Context, Number, from_lattice, resolve_context, to_lattice
+from .numeric import FLOAT_MODE, Context, Number, as_tuple, from_lattice, resolve_context, to_lattice
 from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
@@ -119,8 +119,8 @@ class ChainReport:
 # ---------------------------------------------------------------------------
 
 def _validated_inputs(c, mu, nu, ctx):
-    cost = as_cost(c)
-    ctx = resolve_context(ctx, cost.values, tuple(mu), tuple(nu))
+    cost, mu, nu = as_cost(c), as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, cost.values, mu, nu)
     values = ctx.matrix(cost.values, "cost")
     mu = ctx.vector(mu, "mu")
     nu = ctx.vector(nu, "nu")

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -279,6 +281,18 @@ def test_library_solvers_name_a_bad_number(solver, bad, mode):
         solver(SWAP, (bad, F(1, 2)), HALF, ctx)
 
 
+@pytest.mark.parametrize("args, named", [
+    (([1, 2], [1], [1]), "cost"),
+    ((None, [1], [1]), "cost"),
+    (([[1]], 5, [1]), "mu"),
+    (([[1]], [1], None), "nu"),
+], ids=["cost-row", "cost", "mu", "nu"])
+@pytest.mark.parametrize("solver", LIBRARY_SOLVERS, ids=lambda f: f.__name__)
+def test_library_solvers_name_a_bad_container(solver, args, named):
+    with pytest.raises(DualityError, match=f"^{named}"):
+        solver(*args)
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
 @pytest.mark.parametrize("call", [
@@ -287,7 +301,11 @@ def test_library_solvers_name_a_bad_number(solver, bad, mode):
         ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),)), (bad, F(1, 2)), HALF, ctx
     ),
     lambda bad, ctx: ot.wasserstein1(((0, bad), (bad, 0)), HALF, HALF, ctx),
-], ids=["oracle_enumerate", "min_cover", "wasserstein1"])
+    lambda bad, ctx: ot.lipschitz_modulus(((0, bad), (1, 0)), SWAP, ctx),
+    lambda bad, ctx: ot.oscillation(
+        ((0, bad), (1, 0)), ot.Partition(cells=((True, True),), representatives=(0,)), ctx
+    ),
+], ids=["oracle_enumerate", "min_cover", "wasserstein1", "lipschitz_modulus", "oscillation"])
 def test_library_entries_reject_a_bad_number(call, bad, mode):
     with pytest.raises(DualityError):
         call(bad, ot.Context(mode))
@@ -387,10 +405,51 @@ def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "min cut does not match the max flow" in report["checks"][0]["detail"]["error"]
 
 
+NEEDS_COST = "error: this scenario needs a 'cost' field in the instance\n"
+NEEDS_RECTANGLES = "error: this scenario needs a 'rectangles' field\n"
+EVERY_FIELD = ("cost", "metric", "partition", "rectangles")
+
+
+def needs_metric(verb):
+    return f"error: the {verb} scenario needs a metric on space_x\n"
+
+
 def test_scenario_needs_its_fields(tmp_path, capsys):
     path = write(tmp_path, minimal_doc())
     assert run(["cover", path]) == 2  # no rectangles
     assert run(["approx", path]) == 2  # no metric
+    # Each needed field missing alone, then every field missing at once:
+    # a verb names the first field it needs.
+    for verb, missing, message in (
+        ("solve", ("cost",), NEEDS_COST),
+        ("chain", ("cost",), NEEDS_COST),
+        ("approx", ("cost",), NEEDS_COST),
+        ("approx", ("metric",), needs_metric("approx")),
+        ("partition", ("cost",), NEEDS_COST),
+        ("partition", ("metric",), needs_metric("partition")),
+        ("extend", ("cost",), NEEDS_COST),
+        ("extend", ("partition",), "error: the extend scenario needs a 'partition' field\n"),
+        ("cover", ("rectangles",), NEEDS_RECTANGLES),
+        ("arveson", ("rectangles",), NEEDS_RECTANGLES),
+        ("wasserstein", ("metric",), needs_metric("wasserstein")),
+        ("oracle-check", ("cost",), NEEDS_COST),
+        ("solve", EVERY_FIELD, NEEDS_COST),
+        ("chain", EVERY_FIELD, NEEDS_COST),
+        ("approx", EVERY_FIELD, NEEDS_COST),
+        ("partition", EVERY_FIELD, NEEDS_COST),
+        ("extend", EVERY_FIELD, NEEDS_COST),
+        ("cover", EVERY_FIELD, NEEDS_RECTANGLES),
+        ("arveson", EVERY_FIELD, NEEDS_RECTANGLES),
+        ("wasserstein", EVERY_FIELD, needs_metric("wasserstein")),
+        ("oracle-check", EVERY_FIELD, NEEDS_COST),
+    ):
+        doc = swap_doc()
+        for field in missing:
+            del (doc["space_x"] if field == "metric" else doc)[field]
+        flags = ["--eps", "1", "--lipschitz", "24"] if verb == "partition" else []
+        capsys.readouterr()
+        assert run([verb, write(tmp_path, doc), *flags]) == 2, (verb, missing)
+        assert capsys.readouterr() == ("", message), (verb, missing)
 
 
 def test_detected_invariant_violation_exits_1(tmp_path, capsys):
@@ -448,3 +507,145 @@ def test_instance_jsonable_matches_schema(tmp_path):
     assert doc["arithmetic"] == "rational"
     assert doc["cost"]["matrix"][0] == ["0", "1"]
     assert doc["rectangles"][0] == {"x": [0], "y": [0]}
+
+
+# Every verb in both modes on two generated instances: the exit code, the
+# stderr, and the sha256 of the report with the value of elapsed_seconds cut.
+# A deliberate change to a report updates these literals, with a note in
+# CHANGES.md saying why.
+GOLDEN_INSTANCES = {"4x4": 0, "9x3": 1}
+GOLDEN = {
+    ("4x4", "rational", "solve"):
+        (0, "", "0b2c3c206727460c290ab2a377a838e4cd3a52835c1595519b1671199cf9097d"),
+    ("4x4", "float", "solve"):
+        (0, "", "2d9e54a480685bd7d1d8f4e57f95668a97a3907fdddb0e89198604c2afb2469c"),
+    ("4x4", "rational", "chain"):
+        (0, "", "ef39578a587d35130c789581bd054be10ba4e8391e44cc627c2f1401f6f1bdef"),
+    ("4x4", "float", "chain"):
+        (0, "", "42c8f761c5c8e9f01c6a71f01b9a216c032ac3b73b6e8db8b9283f321d732119"),
+    ("4x4", "rational", "approx"):
+        (0, "", "a5e6252b20398b0b8f5054e20634b1a0ca482c6a42953f6f1566fa8c9726a6da"),
+    ("4x4", "float", "approx"):
+        (0, "", "fb89dee3e2540b1f80f00d57fe194e27df786a361287c5b377f65d3be40c149d"),
+    ("4x4", "rational", "partition --eps 12 --lipschitz 24"):
+        (0, "", "1c736825b34ed349f09e6429974e316538d66fb251e7048f323df96e07afe7f7"),
+    ("4x4", "float", "partition --eps 12 --lipschitz 24"):
+        (0, "", "6007554dda329e789e2bc03d678b1d42735a394f8292af25b3e94366d4010761"),
+    ("4x4", "rational", "partition --eps 1 --lipschitz 24"):
+        (0, "", "1c736825b34ed349f09e6429974e316538d66fb251e7048f323df96e07afe7f7"),
+    ("4x4", "float", "partition --eps 1 --lipschitz 24"):
+        (0, "", "6007554dda329e789e2bc03d678b1d42735a394f8292af25b3e94366d4010761"),
+    ("4x4", "rational", "extend"):
+        (0, "", "624ed740776381dfa566f9f7500db3df60601b336f24bd555c13274b6dbdacf9"),
+    ("4x4", "float", "extend"):
+        (0, "", "d909d0d8705126ea91ac7936c790bc1520e697a4796253d8f09b68e9d4f530ad"),
+    ("4x4", "rational", "cover"):
+        (0, "", "ca9396d50a3fcb181fb4ed14ff067997323d05d73d16e2c12307a712cf778c93"),
+    ("4x4", "float", "cover"):
+        (0, "", "311b1b440488117918e191e8ad4d1af50704f9ec70d15fcc0f77235ba5781941"),
+    ("4x4", "rational", "arveson"):
+        (0, "", "a35af6ad6f8d4b5c0d25f30065380fb3b58cfdf99cd510a0cccfd63416dced0a"),
+    ("4x4", "float", "arveson"):
+        (0, "", "301944e1a734a4e58281b8d88a389c647c9bd4b61f912ecc7529d5ab32e5d3cb"),
+    ("4x4", "rational", "wasserstein"):
+        (0, "", "4759b719f26828a3d96825aaa08ec856c9d535dbcf4b2cdad3e24a8e593e6a99"),
+    ("4x4", "float", "wasserstein"):
+        (0, "", "98a15a2c19221546d4daec259e0baf4c997dd14d3e9dac898523cbc79a439a72"),
+    ("4x4", "rational", "oracle-check"):
+        (0, "", "114407d4e23499c13eddce7197176b3a27f7beb3f2054b7d2529c0851aff74df"),
+    ("4x4", "float", "oracle-check"):
+        (0, "", "285f2633c7fe9c56f51705bea0c550f14a065d1161c325a76b5418c5d6aeb015"),
+    ("9x3", "rational", "solve"):
+        (0, "", "35a062c900c8b1390add49ba51202d427482f4bfc12b93eb94bbd6995b9c7bc1"),
+    ("9x3", "float", "solve"):
+        (0, "", "b4d1f7d5d5dc6ab65815477db91ad2e87351770aac12b7e98e0856bf4e249f43"),
+    ("9x3", "rational", "chain"):
+        (0, "", "9e911b5724c4a58d3169fda1e051f157e5577d90c2b7752889cf2d191d6663d2"),
+    ("9x3", "float", "chain"):
+        (0, "", "6e415b38ef3f5c5ebf028caf113035b778a638388808aeecfc311e680ba229cf"),
+    ("9x3", "rational", "approx"):
+        (0, "", "e682250bb40f76644a8bd01a49d324ca5a278c4888e778967c4e0a9fd4934da9"),
+    ("9x3", "float", "approx"):
+        (0, "", "9afa97e6379bf6d6963d11dc65ebd3373a7d028938d4da3feca3c326a791465f"),
+    ("9x3", "rational", "partition --eps 12 --lipschitz 24"):
+        (0, "", "fce0d93d081b9a9c4fc4849936936192b17aed6846e7b82008937e806de84c89"),
+    ("9x3", "float", "partition --eps 12 --lipschitz 24"):
+        (0, "", "f4bbc4fb14855cc3ff6dc5785e76cb09ca7967ca82e088d5c6e3ab5bd1b56197"),
+    ("9x3", "rational", "partition --eps 1 --lipschitz 24"):
+        (0, "", "ba80e13acbf28aff0dee264f492ed2c2267a62ca9bbf4dae40df63c7a7bebf62"),
+    ("9x3", "float", "partition --eps 1 --lipschitz 24"):
+        (0, "", "7eb6ee78e30f67fdefd813a7d1df90dc1a3687415c6f84cbfc198accb114c09b"),
+    ("9x3", "rational", "extend"):
+        (0, "", "28be67d6f1d0c953f8caead2761e824f44519d254451dd715d578c8a3530e447"),
+    ("9x3", "float", "extend"):
+        (0, "", "cb033d6e27e02ae7c0b85adabb4cc0b765209cca8da82b18f27babd2b2e9405f"),
+    ("9x3", "rational", "cover"):
+        (0, "", "9b19f255b880752c3fc3747f88b279854fde20e0eb848dc6da28ebd91cf914f5"),
+    ("9x3", "float", "cover"):
+        (0, "", "f75299cbe10797312a11503d7fb49b8210f4b86e3ab58fff42e87132d1fe52af"),
+    ("9x3", "rational", "arveson"):
+        (0, "", "277b5337783ddec21310f118048d2914c124c3ce0a28f6073d7a558e8b85f6c0"),
+    ("9x3", "float", "arveson"):
+        (0, "", "4de824d5d66b20f54a5feb8d42df83f341623b3c32f35afd5a1de6be423e611f"),
+    ("9x3", "rational", "wasserstein"):
+        (2, "error: wasserstein needs mu and nu on one point set; the spaces differ in size\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("9x3", "float", "wasserstein"):
+        (2, "error: wasserstein needs mu and nu on one point set; the spaces differ in size\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("9x3", "rational", "oracle-check"):
+        (2, "error: 9x3 = 27 cells exceeds the cap of 16\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("9x3", "float", "oracle-check"):
+        (2, "error: 9x3 = 27 cells exceeds the cap of 16\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+# From Python 3.12 on, sum() of floats is compensated, so some float-mode
+# reports differ in the last bit of a value (for example -0.5625 where
+# earlier versions print -0.5624999999999999).
+GOLDEN_SINCE_3_12 = {
+    ("4x4", "float", "solve"):
+        (0, "", "61128847690849f444d2aa2c77ba537a09d8736a3183938e00babcb3583a4345"),
+    ("4x4", "float", "chain"):
+        (0, "", "05dfa7eac0764ab67458a984ca45aba0f1eff42148541fcd5f1648941673f7a3"),
+    ("4x4", "float", "partition --eps 12 --lipschitz 24"):
+        (0, "", "58f9ba5d642cfc5abf2896efda5ad3eb76ea61ea00ea6bf6cfcf268d9a102ff3"),
+    ("4x4", "float", "partition --eps 1 --lipschitz 24"):
+        (0, "", "58f9ba5d642cfc5abf2896efda5ad3eb76ea61ea00ea6bf6cfcf268d9a102ff3"),
+    ("4x4", "float", "extend"):
+        (0, "", "5aea7b380a47e3391a3b3859d278fac2e37787e38a98a814395edcc153d2d77c"),
+    ("4x4", "float", "wasserstein"):
+        (0, "", "22a644ed19347463463ba5853dea57319c7440efb7978a059f876db56dbdd30e"),
+    ("4x4", "float", "oracle-check"):
+        (0, "", "b157316b5d7cfe7337d227806a7e6a1aa9164f0f33683986bcebb800748ff647"),
+    ("9x3", "float", "solve"):
+        (0, "", "a49a15ad13696707d880fc39f1d583d99e294d84a18dcd42a6ecde46e4db45ce"),
+    ("9x3", "float", "chain"):
+        (0, "", "7f8eea9cda478eec4a9218d99020c3253d8770e24961288ad1936ceaf56323bc"),
+    ("9x3", "float", "approx"):
+        (0, "", "5ba8a413a5a48e690054326842d151fe0b9e4b3f186a106101db4d235380459e"),
+    ("9x3", "float", "partition --eps 12 --lipschitz 24"):
+        (0, "", "b35ab5277ec2c406a5d7d11a6e893b9d8910a15bfe9d7fa06c957f3fdd185559"),
+    ("9x3", "float", "partition --eps 1 --lipschitz 24"):
+        (0, "", "788b1ad572ca108455e5b08fd42ef08b4738c44926d1b934e7eae42d12618700"),
+    ("9x3", "float", "extend"):
+        (0, "", "d5b3837f9558c39be56116d6d2b17ba22fc5ed52d9c5775efb7e92495ca4a50a"),
+}
+
+
+def test_reports_match_their_golden_digests(tmp_path, capsys):
+    paths = {}
+    for size, seed in GOLDEN_INSTANCES.items():
+        paths[size] = str(tmp_path / f"{size}.json")
+        assert run(["gen", "--seed", str(seed), "--size", size, "-o", paths[size]]) == 0
+    capsys.readouterr()
+    golden = dict(GOLDEN)
+    if sys.version_info >= (3, 12):
+        golden.update(GOLDEN_SINCE_3_12)
+    mismatches = []
+    for (size, mode, verb), expected in golden.items():
+        name, *flags = verb.split()
+        argv = [name, paths[size], *flags, "--mode", mode]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        report = re.sub(r'("elapsed_seconds": )[^\n]*', r"\1", out)
+        got = (code, err, hashlib.sha256(report.encode()).hexdigest())
+        if got != expected:
+            mismatches.append(f"{argv}: got {got}")
+    assert not mismatches, "\n".join(mismatches)

@@ -54,3 +54,8 @@ def test_every_vertex_is_a_valid_coupling():
     for matrix in ot.transport_polytope_vertices(mu, nu):
         defects = ot.coupling_defects(ot.Coupling(matrix=matrix, mu=mu, nu=nu))
         assert defects.ok
+
+
+def test_unknown_objective_is_a_duality_error():
+    with pytest.raises(ot.DualityError, match="'beta'"):
+        ot.oracle_enumerate([[1]], (1,), (1,), "beta")
