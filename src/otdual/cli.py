@@ -33,7 +33,7 @@ from .instances import (
     instance_to_jsonable,
     load_instance,
 )
-from .numeric import format_number
+from .numeric import fold_sum, format_number
 from .oracle import DEFAULT_CELL_CAP, oracle_enumerate
 from .rectangles import (
     Cover,
@@ -236,7 +236,7 @@ def _scenario_extend(instance, ctx, options):
     for k, cell in enumerate(part.cells):
         members = mask_indices(cell)
         for y in range(instance.space_y.size):
-            lhs = sum(fine.matrix[x][y] for x in members)
+            lhs = fold_sum(fine.matrix[x][y] for x in members)
             if not ctx.eq(lhs, coarse.matrix[k][y]):
                 agreement_ok = False
     result = {

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, as_tuple, resolve_context
+from .numeric import Context, Number, as_rows, fold_sum, resolve_context
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -34,7 +34,7 @@ class PotentialPair:
     def dual_value(self, mu: Sequence[Number], nu: Sequence[Number]) -> Number:
         if len(mu) != len(self.f) or len(nu) != len(self.g):
             raise ValidationError("marginal lengths differ from potential lengths")
-        return sum(w * x for w, x in zip(mu, self.f)) + sum(
+        return fold_sum(w * x for w, x in zip(mu, self.f)) + fold_sum(
             w * x for w, x in zip(nu, self.g)
         )
 
@@ -92,8 +92,7 @@ class CostMatrix:
 def as_cost(c) -> CostMatrix:
     if isinstance(c, CostMatrix):
         return c
-    rows = as_tuple(c, "cost")
-    return CostMatrix(values=tuple(as_tuple(row, f"cost[{i}]") for i, row in enumerate(rows)))
+    return CostMatrix(values=as_rows(c, "cost"))
 
 
 def negate_matrix(values: Matrix) -> Matrix:

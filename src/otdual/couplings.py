@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch, ValidationError
-from .numeric import Context, resolve_context
+from .numeric import Context, as_tuple, fold_sum, resolve_context
 from .spaces import Matrix, Partition, ProbabilitySpace, Vector, mask_indices, pushforward
 from .transport import Coupling
 
@@ -40,7 +40,7 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
     plan on every (union of cells) x (subset of Y) rectangle.  Cells of mass
     zero are skipped; their points receive zero rows.
     """
-    ctx = resolve_context(ctx, coarse.matrix, coarse.nu, tuple(mu))
+    ctx = resolve_context(ctx, coarse.matrix, coarse.nu, as_tuple(mu, "mu"))
     mu = ctx.vector(mu)
     t = ctx.matrix(coarse.matrix)
     nu = ctx.vector(coarse.nu)
@@ -49,7 +49,7 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
         raise ValidationError("mu length differs from the partition's space size")
     masses = partition.cell_masses(mu)
     for k, (mass, row) in enumerate(zip(masses, t)):
-        row_sum = sum(row)
+        row_sum = fold_sum(row)
         if not ctx.eq(row_sum, mass):
             raise MarginalMismatch(
                 f"coarse row {k} sums to {row_sum}, cell mass is {mass}"
@@ -58,7 +58,7 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
             if not ctx.nonneg(x):
                 raise MarginalMismatch(f"coarse entry ({k}, {y}) = {x} is negative")
     for y in range(len(nu)):
-        col = sum(row[y] for row in t)
+        col = fold_sum(row[y] for row in t)
         if not ctx.eq(col, nu[y]):
             raise MarginalMismatch(f"coarse column {y} sums to {col}, nu is {nu[y]}")
     zero = ctx.number(0)
@@ -76,7 +76,7 @@ def monge_coupling(
     space_x: ProbabilitySpace, mapping: Sequence[int], nu, ctx: Context | None = None
 ) -> Coupling:
     """The coupling concentrated on the graph of a measure-preserving map."""
-    ctx = resolve_context(ctx, space_x.weights, tuple(nu))
+    ctx = resolve_context(ctx, space_x.weights, as_tuple(nu, "nu"))
     mu = ctx.vector(space_x.weights)
     nu = ctx.vector(nu)
     image = pushforward(space_x, mapping, len(nu), ctx)
@@ -94,7 +94,7 @@ def monge_coupling(
 
 
 def product_coupling(mu, nu, ctx: Context | None = None) -> Coupling:
-    ctx = resolve_context(ctx, tuple(mu), tuple(nu))
+    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
     return Coupling(

@@ -14,7 +14,7 @@ from random import Random
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import RATIONAL, Context, format_number
+from .numeric import Context, format_number
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -28,7 +28,6 @@ from .spaces import (
     pushforward,
     validate_space,
 )
-from .transport import _northwest_basis
 
 FORMULAS = ("absolute-difference", "squared-difference", "equality-indicator")
 
@@ -320,26 +319,6 @@ def random_partition(rng: Random, n: int) -> Partition:
     masks = tuple(mask_from_indices(n, members[c]) for c in range(k))
     reps = tuple(rng.choice(members[c]) for c in range(k))
     return Partition(cells=masks, representatives=reps)
-
-
-def random_coupling(rng: Random, mu, nu) -> Matrix:
-    """A random exact coupling: a convex mix of permuted corner solutions."""
-    mu = tuple(Fraction(x) for x in mu)
-    nu = tuple(Fraction(x) for x in nu)
-    m, n = len(mu), len(nu)
-    lam_raw = [rng.randint(1, 6) for _ in range(3)]
-    total = sum(lam_raw)
-    out = [[Fraction(0)] * n for _ in range(m)]
-    for weight in lam_raw:
-        sigma = list(range(m))
-        tau = list(range(n))
-        rng.shuffle(sigma)
-        rng.shuffle(tau)
-        base = _northwest_basis([mu[i] for i in sigma], [nu[j] for j in tau], RATIONAL)
-        lam = Fraction(weight, total)
-        for (a, b), q in base.items():
-            out[sigma[a]][tau[b]] += lam * q
-    return tuple(tuple(r) for r in out)
 
 
 def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Instance:

@@ -9,7 +9,7 @@ second, independent route used for Lipschitz-dual values.
 from __future__ import annotations
 
 from .errors import DualityError, InvariantViolation
-from .numeric import Context, Number, resolve_context
+from .numeric import Context, Number, as_rows, as_tuple, resolve_context
 
 
 def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[Number, tuple[Number, ...]]:
@@ -18,7 +18,8 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
     ``objective``: length-k vector; ``lhs``: rows of length k; ``rhs``:
     nonnegative right-hand sides.
     """
-    ctx = resolve_context(ctx, tuple(objective), tuple(tuple(r) for r in lhs), tuple(rhs))
+    objective, lhs, rhs = as_tuple(objective, "objective"), as_rows(lhs, "lhs"), as_tuple(rhs, "rhs")
+    ctx = resolve_context(ctx, objective, lhs, rhs)
     c = ctx.vector(objective)
     a = [ctx.vector(row) for row in lhs]
     b = ctx.vector(rhs)

@@ -11,13 +11,16 @@ boundary: every number read, from an instance file, a CLI flag or a library
 call, goes through the first, and every number written goes through the
 second.  Both refuse non-finite values, which lie outside the real-valued
 costs and measures the transport values are defined for.  :func:`as_tuple`
-names an argument that should hold numbers but is not a sequence.
+and :func:`as_rows` name an argument that should hold numbers but is not a
+sequence.  :func:`fold_sum` is the one summation rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Union
 
 from .errors import ParseError, ValidationError
@@ -131,6 +134,11 @@ def as_tuple(values, where: str) -> tuple:
         raise ParseError(f"{where} is not a sequence") from None
 
 
+def as_rows(rows, where: str) -> tuple[tuple, ...]:
+    """``rows`` as a tuple of tuples; ``ParseError`` naming ``where`` or a row."""
+    return tuple(as_tuple(row, f"{where}[{i}]") for i, row in enumerate(as_tuple(rows, where)))
+
+
 def infer_context(*objects) -> Context:
     """RATIONAL unless a float is found anywhere in the (nested) inputs."""
     stack = list(objects)
@@ -147,22 +155,35 @@ def resolve_context(ctx: Context | None, *objects) -> Context:
     return ctx if ctx is not None else infer_context(*objects)
 
 
-def to_lattice(*vectors) -> tuple[int, list[tuple[int, ...]]]:
-    """Scale rational vectors onto one integer lattice.
+def fold_sum(values) -> Number:
+    """``values`` added left to right from the int 0, as the built-in ``sum``
+    did before Python 3.12 began to compensate float rounding."""
+    return reduce(add, values, 0)
 
+
+def to_lattice(*vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """Scale vectors of numbers onto one integer lattice.
+
+    Each entry is read exactly by ``as_integer_ratio()``: an ``int``, a
+    ``Fraction`` and every finite ``float``, which is a dyadic rational.
     Returns the scale, the least common multiple of every denominator, and
     each vector multiplied by it as plain ``int``s.  A positive scale keeps
     every sign and every order between entries.
     """
-    scale = math.lcm(*(x.denominator for vector in vectors for x in vector))
-    return scale, [
-        tuple(x.numerator * (scale // x.denominator) for x in vector) for vector in vectors
-    ]
+    ratios = [[x.as_integer_ratio() for x in vector] for vector in vectors]
+    scale = math.lcm(*(q for vector in ratios for _, q in vector))
+    return scale, [tuple(p * (scale // q) for p, q in vector) for vector in ratios]
 
 
-def from_lattice(vector, scale: int) -> tuple[Fraction, ...]:
-    """The exact rationals x / scale of integer lattice points x."""
-    return tuple(Fraction(x, scale) for x in vector)
+def from_lattice(vector, scale: int, mode: str) -> tuple[Number, ...]:
+    """x / scale for integer lattice points x: exact ``Fraction``s in rational
+    mode, and in float mode floats rounded once, correctly."""
+    if mode == RATIONAL_MODE:
+        return tuple(Fraction(x, scale) for x in vector)
+    try:
+        return tuple(x / scale for x in vector)
+    except OverflowError:
+        raise ValidationError("a result is beyond the float range: float arithmetic overflowed") from None
 
 
 def format_number(value, mode: str):

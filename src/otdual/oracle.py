@@ -15,7 +15,7 @@ from collections import deque
 from itertools import combinations
 
 from .errors import InstanceTooLarge, UnknownObjective
-from .numeric import Context, Number, resolve_context
+from .numeric import Context, Number, as_tuple, fold_sum, resolve_context
 from .spaces import Matrix
 from .transport import ALPHA, ALPHA_STAR, _validated_inputs
 
@@ -63,7 +63,7 @@ def transport_polytope_vertices(
     mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
 ) -> tuple[Matrix, ...]:
     """All distinct extreme couplings of the polytope with marginals mu, nu."""
-    ctx = resolve_context(ctx, tuple(mu), tuple(nu))
+    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
     m, n = len(mu), len(nu)
@@ -110,7 +110,7 @@ def oracle_enumerate(
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     vertices = transport_polytope_vertices(mu, nu, cap=cap, ctx=ctx)
     totals = [
-        sum(p * x for prow, crow in zip(v, values) for p, x in zip(prow, crow))
+        fold_sum(p * x for prow, crow in zip(v, values) for p, x in zip(prow, crow))
         for v in vertices
     ]
     return min(totals) if objective == ALPHA else max(totals)

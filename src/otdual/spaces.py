@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
-from .numeric import Context, Number, resolve_context
+from .numeric import Context, Number, fold_sum, resolve_context
 
 Mask = tuple[bool, ...]
 Vector = tuple[Number, ...]
@@ -46,7 +46,7 @@ def mask_union(*masks: Mask) -> Mask:
 def mask_mass(weights: Sequence[Number], mask: Mask) -> Number:
     if len(weights) != len(mask):
         raise ValidationError("mask length differs from weight vector length")
-    return sum(w for w, b in zip(weights, mask) if b)
+    return fold_sum(w for w, b in zip(weights, mask) if b)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
     """
     ctx = resolve_context(ctx, space.weights, space.metric)
     w = ctx.vector(space.weights)
-    defect = abs(sum(w) - 1)
+    defect = abs(fold_sum(w) - 1)
     negative = tuple(i for i, x in enumerate(w) if not ctx.nonneg(x))
 
     sym: list[tuple[int, int]] = []

@@ -10,21 +10,22 @@ The primal algorithm is a network simplex specialized to the bipartite
 transportation structure, pivoting with Bland's rule (smallest cell in
 lexicographic order enters; smallest tying cell leaves) so it cannot cycle
 even on degenerate instances.  Dual potentials are the node potentials at
-optimality.  In rational mode every quantity is exact: a solve runs on
-plain ``int``s, with the costs scaled by L, the least common multiple of
+optimality.  Both arithmetic modes share one exact solve on plain
+``int``s.  Every entry is read exactly, a finite float as the dyadic
+rational it is, and the costs are scaled by L, the least common multiple of
 their denominators, and the marginals by D, that of theirs.  The value is
-mapped back as v / (L*D), potentials as x / L and flows as f / D.  Positive
-scales keep every sign and order the pivot rules compare, so the pivots are
-those of the same solve on ``Fraction``s.
+mapped back as v / (L*D), potentials as x / L and flows as f / D: exactly
+in rational mode, rounded once in float mode.  Positive scales keep every
+sign and order the pivot rules compare, so the pivots are those of the same
+solve on ``Fraction``s, and the mode's tolerance never steers a pivot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
-from .numeric import FLOAT_MODE, Context, Number, as_tuple, from_lattice, resolve_context, to_lattice
+from .numeric import Context, Number, as_tuple, fold_sum, from_lattice, resolve_context, to_lattice
 from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
@@ -45,12 +46,10 @@ class Coupling:
         object.__setattr__(self, "nu", tuple(self.nu))
 
     def row_sums(self) -> Vector:
-        return tuple(sum(row) for row in self.matrix)
+        return tuple(fold_sum(row) for row in self.matrix)
 
     def col_sums(self) -> Vector:
-        if not self.matrix:
-            return ()
-        return tuple(sum(col) for col in zip(*self.matrix))
+        return tuple(fold_sum(col) for col in zip(*self.matrix))
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def coupling_defects(coupling: Coupling, ctx: Context | None = None) -> Coupling
     row_defect = max((abs(r - m) for r, m in zip(rows, coupling.mu)), default=0)
     col_defect = max((abs(c - n) for c, n in zip(cols, coupling.nu)), default=0)
     min_entry = min((x for row in coupling.matrix for x in row), default=0)
-    total = sum(rows)
+    total = fold_sum(rows)
     ok = (
         ctx.is_zero(row_defect)
         and ctx.is_zero(col_defect)
@@ -91,7 +90,7 @@ def transport_value(coupling_or_matrix, values: Matrix) -> Number:
         len(r) != len(v) for r, v in zip(matrix, values)
     ):
         raise DimensionMismatch("coupling and cost have different shapes")
-    return sum(p * c for prow, crow in zip(matrix, values) for p, c in zip(prow, crow))
+    return fold_sum(p * c for prow, crow in zip(matrix, values) for p, c in zip(prow, crow))
 
 
 @dataclass(frozen=True)
@@ -133,24 +132,31 @@ def _validated_inputs(c, mu, nu, ctx):
         for i, x in enumerate(w):
             if not ctx.nonneg(x):
                 raise InfeasibleMarginals(f"{name}[{i}] = {x} is negative")
-        if not ctx.eq(sum(w), 1):
-            raise InfeasibleMarginals(f"{name} sums to {sum(w)}, not 1")
+        total = fold_sum(w)
+        if not ctx.eq(total, 1):
+            raise InfeasibleMarginals(f"{name} sums to {total}, not 1")
     return values, mu, nu, ctx
 
 
-def _northwest_basis(mu, nu, ctx):
-    """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree."""
+def _northwest_basis(mu, nu):
+    """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree.
+
+    Float marginals, read exactly, can miss each other's total by a rounding.
+    The exact gap goes to nu's largest entry (a pushforward nu often ends in
+    0), so the corner rule closes; with equal totals nothing moves.
+    """
     m, n = len(mu), len(nu)
     s = list(mu)
     d = list(nu)
-    if ctx.mode == "float":
-        d[-1] += sum(s) - sum(d)  # absorb roundoff so the corner rule closes
+    largest = max(range(n), key=d.__getitem__)
+    d[largest] += fold_sum(s) - fold_sum(d)
+    if d[largest] < 0:
+        raise InfeasibleMarginals(f"the totals of mu and nu, {fold_sum(mu)} and {fold_sum(nu)}"
+                                  f" on one scale, differ by more than nu[{largest}]")
     flow: dict[tuple[int, int], Number] = {}
     i = j = 0
     while True:
         q = s[i] if s[i] <= d[j] else d[j]
-        if q < 0:
-            q = ctx.number(0)
         flow[(i, j)] = q
         s[i] -= q
         d[j] -= q
@@ -165,12 +171,12 @@ def _northwest_basis(mu, nu, ctx):
     return flow
 
 
-def _walk_tree(basis, values, m, n, zero):
+def _walk_tree(basis, values, m, n):
     """One walk of the basis tree from row node 0.
 
     Nodes 0..m-1 are the rows and m..m+n-1 the columns.  Returns the node
-    potentials, solving u_i + v_j = c_ij on basic cells with u[0] = ``zero``,
-    and each node's parent and depth in the tree rooted at row 0.
+    potentials, solving u_i + v_j = c_ij on basic cells with u[0] = 0, and
+    each node's parent and depth in the tree rooted at row 0.
     """
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for (i, j) in basis:
@@ -179,7 +185,7 @@ def _walk_tree(basis, values, m, n, zero):
     potential: list[Number | None] = [None] * (m + n)
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
-    potential[0] = zero
+    potential[0] = 0
     stack = [0]
     while stack:
         node = stack.pop()
@@ -217,21 +223,18 @@ def _pivot_cycle(entering, parent, depth, m):
     return minus, plus
 
 
-def _network_simplex(values, mu, nu, ctx):
+def _network_simplex(values, mu, nu):
     """Minimize sum P*c over the transportation polytope.
 
     Returns (value, coupling matrix, u, v) with u, v optimal dual potentials.
     The keys of ``flow`` are the basic cells.
     """
     m, n = len(mu), len(nu)
-    # A Fraction zero would turn every potential of an integer solve back
-    # into a Fraction; float mode keeps 0.0.
-    zero = 0.0 if ctx.mode == FLOAT_MODE else 0
-    flow = _northwest_basis(mu, nu, ctx)
+    flow = _northwest_basis(mu, nu)
     max_pivots = 1000 * (m + n) * max(m * n, 1)
     pivots = 0
     while True:
-        potential, parent, depth = _walk_tree(flow, values, m, n, zero)
+        potential, parent, depth = _walk_tree(flow, values, m, n)
         u, v = potential[:m], potential[m:]
         entering = None
         for i in range(m):
@@ -240,7 +243,7 @@ def _network_simplex(values, mu, nu, ctx):
             for j in range(n):
                 if (i, j) in flow:
                     continue
-                if ctx.lt(row[j] - ui - v[j], 0):
+                if row[j] - ui - v[j] < 0:
                     entering = (i, j)
                     break
             if entering is not None:
@@ -264,11 +267,9 @@ def _network_simplex(values, mu, nu, ctx):
             flow[arc] += theta
         flow[entering] = theta
         del flow[leaving]
-    coupling = [[zero] * n for _ in range(m)]
-    for (i, j), f in flow.items():
-        coupling[i][j] = f if f > 0 else zero
-    value = sum(values[i][j] * f for (i, j), f in flow.items())
-    return value, tuple(tuple(r) for r in coupling), tuple(u), tuple(v)
+    coupling = tuple(tuple(flow.get((i, j), 0) for j in range(n)) for i in range(m))
+    value = fold_sum(values[i][j] * f for (i, j), f in flow.items())
+    return value, coupling, tuple(u), tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +280,19 @@ def _solve(c, mu, nu, side, ctx):
     """One simplex run for one side: the primal report and the context used.
 
     The lower side minimizes sum P*c.  The upper side maximizes it as
-    -alpha(-c), so its value and potentials are negated back here.  In
-    rational mode the simplex runs on the integer lattice described in the
-    module docstring.
+    -alpha(-c), so its value and potentials are negated back here.  The
+    simplex runs on the integer lattice described in the module docstring.
     """
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
+    cost_scale, cost = to_lattice(*values)
+    mass_scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
     upper = side == UPPER
-    signed = negate_matrix(values) if upper else values
-    if ctx.mode == FLOAT_MODE:
-        value, matrix, u, v = _network_simplex(signed, mu, nu, ctx)
-    else:
-        cost_scale, cost = to_lattice(*signed)
-        mass_scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
-        value, matrix, u, v = _network_simplex(cost, mass_mu, mass_nu, ctx)
-        value = Fraction(value, cost_scale * mass_scale)
-        matrix = tuple(from_lattice(row, mass_scale) for row in matrix)
-        u, v = from_lattice(u, cost_scale), from_lattice(v, cost_scale)
+    value, matrix, u, v = _network_simplex(negate_matrix(cost) if upper else cost, mass_mu, mass_nu)
     if upper:
         value, u, v = -value, tuple(-x for x in u), tuple(-x for x in v)
+    (value,) = from_lattice((value,), cost_scale * mass_scale, ctx.mode)
+    matrix = tuple(from_lattice(row, mass_scale, ctx.mode) for row in matrix)
+    u, v = from_lattice(u, cost_scale, ctx.mode), from_lattice(v, cost_scale, ctx.mode)
     report = SolveReport(
         value=value,
         arithmetic_mode=ctx.mode,

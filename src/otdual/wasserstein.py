@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .lp import simplex_maximize
-from .numeric import Context, Number, resolve_context
+from .numeric import Context, Number, as_rows, as_tuple, fold_sum, resolve_context
 from .spaces import Matrix, Vector
 from .transport import Coupling, solve_alpha
 
@@ -41,7 +41,7 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     slack-basis simplex (the right-hand sides are nonnegative exactly by
     the triangle inequality).
     """
-    ctx = resolve_context(ctx, tuple(tuple(r) for r in metric), tuple(mu), tuple(nu))
+    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu"))
     d = ctx.matrix(metric)
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
@@ -73,12 +73,12 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
         rhs.append(2 * d[i][0])
     _, g = simplex_maximize(objective, lhs, rhs, ctx)
     f = (zero,) + tuple(g[i - 1] - d[i][0] for i in range(1, n))
-    value = sum(pi * fi for pi, fi in zip(p, f))
+    value = fold_sum(pi * fi for pi, fi in zip(p, f))
     return value, f
 
 
 def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> WassersteinReport:
-    ctx = resolve_context(ctx, tuple(tuple(r) for r in metric), tuple(mu), tuple(nu))
+    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu"))
     primal = solve_alpha(metric, mu, nu, ctx)
     dual_value, witness = lipschitz_dual(metric, mu, nu, ctx)
     return WassersteinReport(
@@ -92,7 +92,7 @@ def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> Wasserst
 
 def lipschitz_violations(metric: Matrix, f, ctx: Context | None = None) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) where |f_i - f_j| exceeds d(i, j)."""
-    ctx = resolve_context(ctx, tuple(tuple(r) for r in metric), tuple(f))
+    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(f, "f"))
     bad = []
     for i in range(len(f)):
         for j in range(len(f)):

@@ -25,15 +25,15 @@ def session_elapsed() -> float:
 def simplex_runs(monkeypatch):
     """A list that gains one entry, the cost matrix, per network-simplex run.
 
-    The matrix is recorded as passed to the simplex: side-signed, and in
-    rational mode scaled onto the integer lattice.
+    The matrix is recorded as passed to the simplex: side-signed and
+    scaled onto the integer lattice.
     """
     runs = []
     solve = transport._network_simplex
 
-    def counted(values, mu, nu, ctx):
+    def counted(values, mu, nu):
         runs.append(values)
-        return solve(values, mu, nu, ctx)
+        return solve(values, mu, nu)
 
     monkeypatch.setattr(transport, "_network_simplex", counted)
     return runs
@@ -93,3 +93,23 @@ def is_feasible_potential(pair, values):
     """Whether the pair meets its side's inequality everywhere."""
     ctx = resolve_context(None, values, pair.f, pair.g)
     return ctx.leq(potential_defect(pair, values, ctx), 0)
+
+
+def random_coupling(rng, mu, nu):
+    """A random exact coupling: a convex mix of permuted corner solutions."""
+    mu = tuple(Fraction(x) for x in mu)
+    nu = tuple(Fraction(x) for x in nu)
+    m, n = len(mu), len(nu)
+    lam_raw = [rng.randint(1, 6) for _ in range(3)]
+    total = sum(lam_raw)
+    out = [[Fraction(0)] * n for _ in range(m)]
+    for weight in lam_raw:
+        sigma = list(range(m))
+        tau = list(range(n))
+        rng.shuffle(sigma)
+        rng.shuffle(tau)
+        base = transport._northwest_basis([mu[i] for i in sigma], [nu[j] for j in tau])
+        lam = Fraction(weight, total)
+        for (a, b), q in base.items():
+            out[sigma[a]][tau[b]] += lam * q
+    return tuple(tuple(r) for r in out)

@@ -9,12 +9,11 @@ import time
 from fractions import Fraction as F
 from random import Random
 
-from conftest import brute_min_cover_value, session_elapsed
+from conftest import brute_min_cover_value, random_coupling, session_elapsed
 
 import otdual as ot
 from otdual.instances import (
     random_cost_matrix,
-    random_coupling,
     random_metric,
     random_partition,
     random_rectangles,

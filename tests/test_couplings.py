@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from conftest import mask_intersection
+from conftest import mask_intersection, random_coupling
 
 import otdual as ot
 from otdual.errors import (
@@ -13,7 +13,6 @@ from otdual.errors import (
 )
 from otdual.instances import (
     random_cost_matrix,
-    random_coupling,
     random_partition,
     random_rectangles,
     random_weights,

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from conftest import constant_cost, is_feasible_potential, separable_cost, shift_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import (
+    constant_cost,
+    is_feasible_potential,
+    random_coupling,
+    separable_cost,
+    shift_matrix,
+)
 
 import otdual as ot
 from otdual import transport
@@ -10,10 +18,8 @@ from otdual.errors import DimensionMismatch, InfeasibleMarginals
 from otdual.instances import (
     generate_instance,
     random_cost_matrix,
-    random_coupling,
     random_weights,
 )
-from otdual.numeric import RATIONAL
 
 HALF = (F(1, 2), F(1, 2))
 SWAP_COST = ((0, 1), (1, 0))
@@ -210,6 +216,69 @@ def test_float_mode_agrees_within_tolerance():
     assert defects.ok
 
 
+def test_float_pricing_has_no_tolerance_floor():
+    # Reduced costs of 1e-12 lie below the 1e-9 tolerance, yet decide the optimum.
+    c = ((2e-12, 1e-12), (1e-12, 2e-12))
+    assert ot.solve_alpha(c, (0.5, 0.5), (0.5, 0.5)).value == 1e-12
+
+
+def _wide_cost(rng):
+    return tuple(
+        tuple(rng.choice((1e-300, 1.0, 1e300)) * rng.randint(1, 9) for _ in range(4))
+        for _ in range(4)
+    )
+
+
+def test_float_costs_of_wide_exponents_match_the_oracle():
+    # gen's float nu ends in 0, and its total misses mu's by a rounding.
+    inst = generate_instance(2, 4, 4, mode="float")
+    mu, nu = inst.space_x.weights, inst.space_y.weights
+    # The enumeration oracle_enumerate runs, done once for the fixed marginals.
+    vertices = ot.transport_polytope_vertices(mu, nu)
+    for seed in range(40):
+        c = _wide_cost(Random(seed))
+        want = min(ot.transport_value(v, c) for v in vertices)
+        got = ot.solve_alpha(c, mu, nu).value
+        assert abs(got - want) <= 1e-12 * abs(want), seed
+
+
+def test_float_marginals_too_far_apart_for_one_coupling_are_rejected():
+    # Each total is within the tolerance 0.6 of 1, but no coupling has both.
+    ctx = ot.Context("float", 0.6)
+    with pytest.raises(InfeasibleMarginals, match="total"):
+        ot.solve_alpha(((0.0, 1.0), (1.0, 0.0)), (0.25, 0.25), (0.75, 0.75), ctx)
+
+
+@st.composite
+def _decimal_instances(draw):
+    """Weights in hundredths summing to 1 and costs in hundredths, up to 5x5."""
+
+    def weights(k):
+        cuts = sorted(draw(st.lists(st.integers(0, 100), min_size=k - 1, max_size=k - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, 100])]
+
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(-999, 999), min_size=n, max_size=n)
+    cost = draw(st.lists(row, min_size=m, max_size=m))
+    return weights(m), weights(n), cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(_decimal_instances())
+def test_float_mode_agrees_with_rational_mode(instance):
+    mu, nu, cost = instance
+    exact = ot.check_chain(
+        [[F(x, 100) for x in row] for row in cost], [F(w, 100) for w in mu], [F(w, 100) for w in nu]
+    )
+    args = ([[x / 100 for x in row] for row in cost], [w / 100 for w in mu], [w / 100 for w in nu])
+    floats = ot.check_chain(*args)
+    assert floats.ok
+    for a, b in zip(floats.as_tuple(), exact.as_tuple()):
+        assert abs(a - b) <= 1e-9
+    for solver in (ot.solve_alpha, ot.solve_alpha_star):
+        assert ot.coupling_defects(solver(*args).coupling).ok
+
+
 def test_coupling_defects_flags_bad_marginals():
     bad = ot.Coupling(matrix=((F(1, 2), 0), (0, F(1, 4))), mu=HALF, nu=HALF)
     defects = ot.coupling_defects(bad)
@@ -265,7 +334,7 @@ def test_lattice_solves_match_the_oracle_and_the_fraction_simplex():
                     assert gap >= 0 if objective == "alpha" else gap <= 0
                     assert plan[i][j] == 0 or gap == 0
             # The same simplex on Fractions ends on the same basis.
-            value, matrix, u, v = transport._network_simplex(signed, mu, nu, RATIONAL)
+            value, matrix, u, v = transport._network_simplex(signed, mu, nu)
             sign = 1 if objective == "alpha" else -1
             assert (sign * value, matrix) == (report.value, plan)
             assert tuple(sign * x for x in u + v) == pair.f + pair.g
