@@ -77,7 +77,8 @@ def shifted_infconv(
     """min over all z of n*d(x,z) + c(z,y) - f(z): the infimal convolution of
     the shifted cost c - f."""
     cost = as_cost(c)
-    ctx = resolve_context(ctx, cost.values, space_x.metric, as_tuple(f, "f"), n)
+    f = as_tuple(f, "f")
+    ctx = resolve_context(ctx, cost.values, space_x.metric, f, n)
     values = ctx.matrix(cost.values)
     shifted = tuple(
         tuple(x - fz for x in row) for row, fz in zip(values, ctx.vector(f))
@@ -227,7 +228,8 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
     Returns None when no finite u works (distinct rows at distance 0).
     """
     values = as_cost(c).values
-    ctx = resolve_context(ctx, values, as_rows(metric, "metric"))
+    metric = as_rows(metric, "metric")
+    ctx = resolve_context(ctx, values, metric)
     values = ctx.matrix(values, "cost")
     metric = ctx.matrix(metric, "metric")
     worst = ctx.number(0)
@@ -297,7 +299,8 @@ def beta_star_limit_check(
     fail to be nondecreasing.
     """
     base = sequence.base_cost
-    ctx = resolve_context(ctx, base.values, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, base.values, mu, nu)
     previous = None
     for param, stage in sequence.stages:
         if previous is not None:

@@ -40,7 +40,8 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
     plan on every (union of cells) x (subset of Y) rectangle.  Cells of mass
     zero are skipped; their points receive zero rows.
     """
-    ctx = resolve_context(ctx, coarse.matrix, coarse.nu, as_tuple(mu, "mu"))
+    mu = as_tuple(mu, "mu")
+    ctx = resolve_context(ctx, coarse.matrix, coarse.nu, mu)
     mu = ctx.vector(mu)
     t = ctx.matrix(coarse.matrix)
     nu = ctx.vector(coarse.nu)
@@ -76,7 +77,8 @@ def monge_coupling(
     space_x: ProbabilitySpace, mapping: Sequence[int], nu, ctx: Context | None = None
 ) -> Coupling:
     """The coupling concentrated on the graph of a measure-preserving map."""
-    ctx = resolve_context(ctx, space_x.weights, as_tuple(nu, "nu"))
+    mapping, nu = as_tuple(mapping, "mapping"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, space_x.weights, nu)
     mu = ctx.vector(space_x.weights)
     nu = ctx.vector(nu)
     image = pushforward(space_x, mapping, len(nu), ctx)
@@ -94,7 +96,8 @@ def monge_coupling(
 
 
 def product_coupling(mu, nu, ctx: Context | None = None) -> Coupling:
-    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, mu, nu)
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
     return Coupling(

@@ -2,14 +2,25 @@
 
 Requires b >= 0 so the slack basis is feasible (every use in this package
 arranges that).  Pivots with Bland's rule, so it terminates without any
-perturbation, and runs on Fractions in rational mode for exact optima.
-Kept dependency-free and separate from the network simplex: it is the
-second, independent route used for Lipschitz-dual values.
+perturbation.  Kept dependency-free and separate from the network simplex:
+it is the second, independent route used for Lipschitz-dual values.
+
+In rational mode the tableau holds plain ``int``s.  Each row is read onto
+its own lattice with :func:`numeric.to_lattice` and is kept only up to a
+positive factor: a pivot replaces a row by ``row*p - row[e]*pivot_row``,
+where ``p = pivot_row[e] > 0``, and divides it by its gcd.  A positive
+factor keeps every sign and every ratio rhs/coefficient, so Bland's rule
+makes the same choices as on the Fraction tableau, and each basic value is
+read back exactly as rhs over the coefficient of its basic column.  Float
+mode runs the float tableau with the context's tolerance.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import DualityError, InvariantViolation
-from .numeric import Context, Number, as_rows, as_tuple, resolve_context
+from .numeric import RATIONAL_MODE, Context, Number, as_rows, as_tuple, resolve_context, to_lattice
 
 
 def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[Number, tuple[Number, ...]]:
@@ -23,12 +34,100 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
     c = ctx.vector(objective)
     a = [ctx.vector(row) for row in lhs]
     b = ctx.vector(rhs)
-    nvars = len(c)
-    nrows = len(a)
-    if any(len(row) != nvars for row in a) or len(b) != nrows:
+    if any(len(row) != len(c) for row in a) or len(b) != len(a):
         raise DualityError("LP shapes do not line up")
     if any(x < -ctx.atol for x in b):
         raise DualityError("simplex_maximize requires b >= 0")
+    if ctx.mode == RATIONAL_MODE:
+        return _lattice_simplex(c, a, b)
+    return _float_simplex(c, a, b, ctx)
+
+
+def _entering(obj, ncols: int, floor) -> int | None:
+    """Bland's entering column: the first reduced cost below ``floor``."""
+    return next((col for col in range(ncols) if obj[col] < floor), None)
+
+
+def _pivot_limit(nvars: int, nrows: int) -> int:
+    return 2000 * (nrows + nvars + 1)
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row: list[int], entering: int, p: int, support) -> list[int]:
+    """``row*p - row[entering]*pivot_row`` up to a positive factor: zero in
+    the entering column.  ``p > 0`` is the pivot and ``support`` lists the
+    pivot row's nonzero entries as (column, value) pairs."""
+    g = math.gcd(p, row[entering])
+    scale, factor = p // g, row[entering] // g
+    row = list(row) if scale == 1 else [x * scale for x in row]
+    for col, y in support:
+        row[col] -= factor * y
+    return _reduced(row)
+
+
+def _lattice_simplex(c, a, b) -> tuple[Fraction, tuple[Fraction, ...]]:
+    nvars = len(c)
+    nrows = len(a)
+    ncols = nvars + nrows
+    rhs = ncols
+    # Rows: [x coefficients | slack coefficients | rhs | objective factor].
+    # The last entry is 1 in the objective row and 0 elsewhere, so it
+    # follows the objective row's positive factor through every pivot and
+    # rhs over it is the objective value.
+    rows = []
+    for r in range(nrows):
+        scale, (coefs,) = to_lattice(a[r] + (b[r],))
+        row = list(coefs[:-1]) + [0] * nrows + [coefs[-1], 0]
+        row[nvars + r] = scale
+        rows.append(_reduced(row))
+    scale, (coefs,) = to_lattice(c)
+    obj = _reduced([-x for x in coefs] + [0] * (nrows + 1) + [scale])
+    basis = [nvars + r for r in range(nrows)]
+
+    max_pivots = _pivot_limit(nvars, nrows)
+    pivots = 0
+    while (entering := _entering(obj, ncols, 0)) is not None:
+        pivots += 1
+        if pivots > max_pivots:
+            raise InvariantViolation("simplex pivot limit exceeded")
+        # Least ratio rhs/coef over positive coefs, compared by
+        # cross-multiplying; ties go to the smallest basis index.
+        leaving_row = None
+        for r, row in enumerate(rows):
+            coef = row[entering]
+            if coef > 0:
+                if leaving_row is None:
+                    leaving_row, best_rhs, best_coef = r, row[rhs], coef
+                    continue
+                left, right = row[rhs] * best_coef, best_rhs * coef
+                if left < right or (left == right and basis[r] < basis[leaving_row]):
+                    leaving_row, best_rhs, best_coef = r, row[rhs], coef
+        if leaving_row is None:
+            raise DualityError("LP is unbounded")
+        pivot_row = rows[leaving_row]
+        support = [(col, y) for col, y in enumerate(pivot_row) if y]
+        for r, row in enumerate(rows):
+            if r != leaving_row and row[entering] != 0:
+                rows[r] = _eliminate(row, entering, pivot_row[entering], support)
+        if obj[entering] != 0:
+            obj = _eliminate(obj, entering, pivot_row[entering], support)
+        basis[leaving_row] = entering
+
+    x = [Fraction(0)] * nvars
+    for r, var in enumerate(basis):
+        if var < nvars:
+            x[var] = Fraction(rows[r][rhs], rows[r][var])
+    return Fraction(obj[rhs], obj[-1]), tuple(x)
+
+
+def _float_simplex(c, a, b, ctx: Context) -> tuple[float, tuple[float, ...]]:
+    nvars = len(c)
+    nrows = len(a)
     zero = ctx.number(0)
     one = ctx.number(1)
 
@@ -43,16 +142,9 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
     basis = [nvars + r for r in range(nrows)]
     width = nvars + nrows + 1
 
-    max_pivots = 2000 * (nrows + nvars + 1)
+    max_pivots = _pivot_limit(nvars, nrows)
     pivots = 0
-    while True:
-        entering = None
-        for col in range(nvars + nrows):
-            if ctx.lt(obj[col], 0):
-                entering = col
-                break
-        if entering is None:
-            break
+    while (entering := _entering(obj, nvars + nrows, -ctx.atol)) is not None:
         pivots += 1
         if pivots > max_pivots:
             raise InvariantViolation("simplex pivot limit exceeded")

@@ -63,7 +63,8 @@ def transport_polytope_vertices(
     mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
 ) -> tuple[Matrix, ...]:
     """All distinct extreme couplings of the polytope with marginals mu, nu."""
-    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, mu, nu)
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
     m, n = len(mu), len(nu)

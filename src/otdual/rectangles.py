@@ -160,7 +160,8 @@ def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Co
     the residual network, b the reachable columns.  The containment is
     re-verified entrywise before returning.
     """
-    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, mu, nu)
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
     if len(mu) != family.nx or len(nu) != family.ny:
@@ -193,7 +194,8 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     Otherwise the returned report carries the positive maximal coupling mass
     together with a maximizing coupling.
     """
-    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, mu, nu)
     cover = min_cover(family, mu, nu, ctx)
     if ctx.is_zero(cover.value):
         return cover
@@ -226,7 +228,8 @@ def truncation_duality(
     The report states the certified bound, whether the tail mass is below
     eps, and the directly solved alpha(H) for comparison.
     """
-    ctx = resolve_context(ctx, as_tuple(mu, "mu"), as_tuple(nu, "nu"), eps)
+    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, mu, nu, eps)
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
     mu = ctx.vector(mu)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
-from .numeric import Context, Number, fold_sum, resolve_context
+from .numeric import Context, Number, as_tuple, fold_sum, resolve_context
 
 Mask = tuple[bool, ...]
 Vector = tuple[Number, ...]
@@ -174,6 +174,7 @@ def pushforward(
     space: ProbabilitySpace, mapping: Sequence[int], target_size: int, ctx: Context | None = None
 ) -> Vector:
     """Image weights under a total point map into a space of ``target_size``."""
+    mapping = as_tuple(mapping, "mapping")
     ctx = resolve_context(ctx, space.weights)
     w = ctx.vector(space.weights)
     if len(mapping) != len(w):

@@ -41,7 +41,8 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     slack-basis simplex (the right-hand sides are nonnegative exactly by
     the triangle inequality).
     """
-    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    metric, mu, nu = as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, metric, mu, nu)
     d = ctx.matrix(metric)
     mu = ctx.vector(mu)
     nu = ctx.vector(nu)
@@ -78,7 +79,8 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
 
 
 def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> WassersteinReport:
-    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu"))
+    metric, mu, nu = as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu")
+    ctx = resolve_context(ctx, metric, mu, nu)
     primal = solve_alpha(metric, mu, nu, ctx)
     dual_value, witness = lipschitz_dual(metric, mu, nu, ctx)
     return WassersteinReport(
@@ -92,7 +94,8 @@ def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> Wasserst
 
 def lipschitz_violations(metric: Matrix, f, ctx: Context | None = None) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) where |f_i - f_j| exceeds d(i, j)."""
-    ctx = resolve_context(ctx, as_rows(metric, "metric"), as_tuple(f, "f"))
+    metric, f = as_rows(metric, "metric"), as_tuple(f, "f")
+    ctx = resolve_context(ctx, metric, f)
     bad = []
     for i in range(len(f)):
         for j in range(len(f)):

@@ -17,6 +17,7 @@ from otdual.instances import (
     save_instance,
 )
 from otdual.lp import simplex_maximize
+from otdual.wasserstein import lipschitz_violations
 
 
 def write(tmp_path, doc, name="inst.json"):
@@ -331,6 +332,60 @@ FAMILY = ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),))
 def test_library_entries_name_a_bad_container(call, named):
     with pytest.raises(ParseError, match=f"^{named} is not a sequence"):
         call()
+
+
+THIRDS = (F(1, 3), F(2, 3))
+COST = ((0, 1), (2, 0))
+
+
+def one_shot(values):
+    """A generator over ``values``: it can be read only once."""
+    return (x for x in values)
+
+
+def one_shot_rows(rows):
+    return one_shot(map(one_shot, rows))
+
+
+def tuple_rows(rows):
+    return tuple(map(tuple, rows))
+
+
+# Each call takes a converter for vectors and one for matrices.
+@pytest.mark.parametrize("call", [
+    lambda vec, mat: ot.solve_alpha(mat(COST), vec(THIRDS), vec(HALF)),
+    lambda vec, mat: ot.product_coupling(vec((0.5, 0.5)), vec((0.25, 0.75))),
+    lambda vec, mat: ot.monge_coupling(ot.make_space(HALF), vec((1, 0)), vec(HALF)),
+    lambda vec, mat: ot.pushforward(ot.make_space(THIRDS), vec((1, 1)), 2),
+    lambda vec, mat: ot.extend_coupling(
+        ot.CoarseCoupling(
+            partition=ot.singleton_partition(2), matrix=((F(1, 3), 0), (F(1, 6), F(1, 2))), nu=HALF
+        ),
+        vec(THIRDS),
+    ),
+    lambda vec, mat: ot.transport_polytope_vertices(vec(THIRDS), vec(HALF)),
+    lambda vec, mat: ot.min_cover(FAMILY, vec(THIRDS), vec(HALF)),
+    lambda vec, mat: ot.arveson_witness(FAMILY, vec(THIRDS), vec(HALF)),
+    lambda vec, mat: ot.truncation_duality(FAMILY, vec(THIRDS), vec(HALF), 0, F(1, 10)),
+    lambda vec, mat: ot.wasserstein1(mat(SWAP), vec(THIRDS), vec(HALF)),
+    lambda vec, mat: ot.lipschitz_dual(mat(SWAP), vec(THIRDS), vec(HALF)),
+    lambda vec, mat: lipschitz_violations(mat(SWAP), vec((0, 2))),
+    lambda vec, mat: ot.shifted_infconv(COST, 1, ot.make_space(HALF, SWAP), vec((0, 1))),
+    lambda vec, mat: ot.lipschitz_modulus(COST, mat(SWAP)),
+    lambda vec, mat: ot.beta_star_limit_check(
+        ot.ApproximantSequence(base_cost=ot.as_cost(COST), stages=((1, ot.as_cost(COST)),)),
+        vec(THIRDS),
+        vec(HALF),
+    ),
+    lambda vec, mat: simplex_maximize(vec((1, 1)), mat(((1, 2), (3, 1))), vec((4, 5))),
+], ids=[
+    "solve_alpha", "product_coupling", "monge_coupling", "pushforward", "extend_coupling",
+    "transport_polytope_vertices", "min_cover", "arveson_witness", "truncation_duality",
+    "wasserstein1", "lipschitz_dual", "lipschitz_violations", "shifted_infconv",
+    "lipschitz_modulus", "beta_star_limit_check", "simplex_maximize",
+])
+def test_library_entries_read_generators_like_tuples(call):
+    assert call(one_shot, one_shot_rows) == call(tuple, tuple_rows)
 
 
 def test_float_overflow_exits_2_without_non_finite_json(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction as F
 from random import Random
 
+import pytest
+
 import otdual as ot
-from otdual.wasserstein import lipschitz_violations
-from otdual.instances import random_metric, random_weights
+from otdual.instances import generate_instance, random_metric, random_weights
+from otdual.numeric import format_number
+from otdual.wasserstein import lipschitz_dual, lipschitz_violations
 
 
 def test_two_points_full_move():
@@ -53,3 +58,37 @@ def test_float_mode_within_tolerance():
         report = ot.wasserstein1(metric, mu, nu)
         assert abs(report.gap) <= 1e-9
         assert not lipschitz_violations(metric, report.lipschitz_witness)
+
+
+# The sha256 of format_number((value, f), mode) from lipschitz_dual on the
+# gen n x n instances at seeds 0, 1 and 2, fed to one hash in seed order.
+# The dense simplex's pivot order decides which optimal vertex f is, so a
+# change to the pivot rule or to its arithmetic shows here first.
+GOLDEN_WITNESSES = {
+    ("rational", 5): "5233925845464bf3eda5f99a831d5e366340edca987839181706bd109e772248",
+    ("rational", 6): "9f0173c8e607ec7a153ce03dddcfde9bc885b542685ab0a00ecdc2d2646ac62d",
+    ("rational", 7): "c331a0301e0383620cecb7323f20dffd55be9e859255d0731b0c7df9bcaaa43e",
+    ("rational", 8): "c9c4b0d1d13bc1e5cec42c0fb0e081f450ff9465238b6cc84c79cb0004f712d7",
+    ("rational", 9): "b5d74245ac2a5b0dd1e5a64da027306c87b808aa046d6dd70fee63d9708ec3e3",
+    ("rational", 10): "ef340a579d1f015c973b1ee7d4c6a1b7bd0ac8553c205b10e7f044b3a071e0d9",
+    ("rational", 11): "ec76b0616db7acb71648ef6c1ac17f41a531d7e21d940b2230aa081f53734aeb",
+    ("rational", 12): "ed0595a7e08a8ef570a8370c0bd58af8d811cdfc9646d085061abcfc009353f7",
+    ("float", 5): "d9d71521952667c9f3bd97612cbe36f26ed91a7fc39772b0bb8c04bf4e4f89fb",
+    ("float", 6): "9ed33d61b76cab2ca0416ad2382835980119dad457a0a80afaf796534c49ee45",
+    ("float", 7): "730a4cf019add4aac65681b5b20b3b5ad12f18d793bbc36263270d1c16bfa6b6",
+    ("float", 8): "598c094b55cf3029154ac85bcf499785cc10ba0b93ecc18af40cf554ff06ba6d",
+    ("float", 9): "fb4c07ec64d95f24267b2a6a1bd3cf632be3f3b89554f5172fb03f6d24417e76",
+    ("float", 10): "e5990b21443fff446f74c22d83be61cce4677c11537f8028e1b33951ca38d2a8",
+    ("float", 11): "6ee684871f800c18985b53a4d59cca31f8413b7ea3bec9eb81d0220fbd00ac5a",
+    ("float", 12): "acd3e4b3447552efc5c5b628a362841bf2274e60d6296d5b691fab2301afab1d",
+}
+
+
+@pytest.mark.parametrize("mode, n", sorted(GOLDEN_WITNESSES))
+def test_lipschitz_dual_matches_golden_witnesses(mode, n):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        inst = generate_instance(seed, n, n, mode)
+        found = lipschitz_dual(inst.space_x.metric, inst.space_x.weights, inst.space_y.weights, inst.ctx)
+        digest.update(json.dumps(format_number(found, mode)).encode())
+    assert digest.hexdigest() == GOLDEN_WITNESSES[mode, n]
