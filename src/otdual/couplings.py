@@ -116,11 +116,11 @@ def diagonal_coupling(space, target=None, ctx: Context | None = None) -> Couplin
         if isinstance(target, ProbabilitySpace) and target.points != space.points:
             raise SpaceMismatch("diagonal coupling needs X and Y to share points")
     else:
-        weights = tuple(space)
+        weights = as_tuple(space, "space")
         if target is not None and isinstance(target, ProbabilitySpace):
             if len(target.points) != len(weights):
                 raise SpaceMismatch("diagonal coupling needs equal point counts")
-    ctx = resolve_context(ctx, tuple(weights))
+    ctx = resolve_context(ctx, weights)
     mu = ctx.vector(weights)
     zero = ctx.number(0)
     n = len(mu)

@@ -5,51 +5,42 @@ arranges that).  Pivots with Bland's rule, so it terminates without any
 perturbation.  Kept dependency-free and separate from the network simplex:
 it is the second, independent route used for Lipschitz-dual values.
 
-In rational mode the tableau holds plain ``int``s.  Each row is read onto
-its own lattice with :func:`numeric.to_lattice` and is kept only up to a
-positive factor: a pivot replaces a row by ``row*p - row[e]*pivot_row``,
-where ``p = pivot_row[e] > 0``, and divides it by its gcd.  A positive
-factor keeps every sign and every ratio rhs/coefficient, so Bland's rule
-makes the same choices as on the Fraction tableau, and each basic value is
-read back exactly as rhs over the coefficient of its basic column.  Float
-mode runs the float tableau with the context's tolerance.
+Both modes run one tableau of plain ``int``s.  Each row is read exactly
+onto its own lattice with :func:`numeric.to_lattice` (a finite float is a
+dyadic rational) and is kept only up to a positive factor: a pivot
+replaces a row by ``row*p - row[e]*pivot_row``, where ``p = pivot_row[e] >
+0``, and divides it by its gcd.  A positive factor keeps every sign and
+every ratio rhs/coefficient, so Bland's rule makes the same choices as on
+the Fraction tableau, and each basic value is read back exactly as rhs
+over the coefficient of its basic column.  Float mode rounds each returned
+number once, correctly; the tolerance steers no pivot.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DualityError, InvariantViolation
-from .numeric import RATIONAL_MODE, Context, Number, as_rows, as_tuple, resolve_context, to_lattice
+from .numeric import Context, Number, as_rows, as_tuple, from_ratios, resolve_context, to_lattice
 
 
 def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[Number, tuple[Number, ...]]:
     """Return (optimal value, argmax vector).
 
     ``objective``: length-k vector; ``lhs``: rows of length k; ``rhs``:
-    nonnegative right-hand sides.
+    nonnegative right-hand sides.  A float rhs within the tolerance below
+    0 is read as 0.
     """
     objective, lhs, rhs = as_tuple(objective, "objective"), as_rows(lhs, "lhs"), as_tuple(rhs, "rhs")
     ctx = resolve_context(ctx, objective, lhs, rhs)
-    c = ctx.vector(objective)
-    a = [ctx.vector(row) for row in lhs]
-    b = ctx.vector(rhs)
+    c = ctx.vector(objective, "objective")
+    a = ctx.matrix(lhs, "lhs")
+    b = ctx.vector(rhs, "rhs")
     if any(len(row) != len(c) for row in a) or len(b) != len(a):
         raise DualityError("LP shapes do not line up")
     if any(x < -ctx.atol for x in b):
         raise DualityError("simplex_maximize requires b >= 0")
-    if ctx.mode == RATIONAL_MODE:
-        return _lattice_simplex(c, a, b)
-    return _float_simplex(c, a, b, ctx)
-
-
-def _entering(obj, ncols: int, floor) -> int | None:
-    """Bland's entering column: the first reduced cost below ``floor``."""
-    return next((col for col in range(ncols) if obj[col] < floor), None)
-
-
-def _pivot_limit(nvars: int, nrows: int) -> int:
-    return 2000 * (nrows + nvars + 1)
+    value, *x = from_ratios(_lattice_simplex(c, a, b), ctx.mode)
+    return value, tuple(x)
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -70,7 +61,9 @@ def _eliminate(row: list[int], entering: int, p: int, support) -> list[int]:
     return _reduced(row)
 
 
-def _lattice_simplex(c, a, b) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _lattice_simplex(c, a, b) -> list[tuple[int, int]]:
+    """The optimal value and then each coordinate of the argmax, as exact
+    (numerator, positive denominator) pairs."""
     nvars = len(c)
     nrows = len(a)
     ncols = nvars + nrows
@@ -81,7 +74,7 @@ def _lattice_simplex(c, a, b) -> tuple[Fraction, tuple[Fraction, ...]]:
     # rhs over it is the objective value.
     rows = []
     for r in range(nrows):
-        scale, (coefs,) = to_lattice(a[r] + (b[r],))
+        scale, (coefs,) = to_lattice(a[r] + (max(b[r], 0),))
         row = list(coefs[:-1]) + [0] * nrows + [coefs[-1], 0]
         row[nvars + r] = scale
         rows.append(_reduced(row))
@@ -89,9 +82,10 @@ def _lattice_simplex(c, a, b) -> tuple[Fraction, tuple[Fraction, ...]]:
     obj = _reduced([-x for x in coefs] + [0] * (nrows + 1) + [scale])
     basis = [nvars + r for r in range(nrows)]
 
-    max_pivots = _pivot_limit(nvars, nrows)
+    max_pivots = 2000 * (ncols + 1)
     pivots = 0
-    while (entering := _entering(obj, ncols, 0)) is not None:
+    # Bland's entering column: the first negative reduced cost.
+    while (entering := next((col for col in range(ncols) if obj[col] < 0), None)) is not None:
         pivots += 1
         if pivots > max_pivots:
             raise InvariantViolation("simplex pivot limit exceeded")
@@ -118,72 +112,8 @@ def _lattice_simplex(c, a, b) -> tuple[Fraction, tuple[Fraction, ...]]:
             obj = _eliminate(obj, entering, pivot_row[entering], support)
         basis[leaving_row] = entering
 
-    x = [Fraction(0)] * nvars
+    x = [(0, 1)] * nvars
     for r, var in enumerate(basis):
         if var < nvars:
-            x[var] = Fraction(rows[r][rhs], rows[r][var])
-    return Fraction(obj[rhs], obj[-1]), tuple(x)
-
-
-def _float_simplex(c, a, b, ctx: Context) -> tuple[float, tuple[float, ...]]:
-    nvars = len(c)
-    nrows = len(a)
-    zero = ctx.number(0)
-    one = ctx.number(1)
-
-    # Tableau rows: [x coefficients | slack coefficients | rhs].
-    rows = []
-    for r in range(nrows):
-        row = list(a[r]) + [zero] * nrows + [max(b[r], zero)]
-        row[nvars + r] = one
-        rows.append(row)
-    # Objective row starts as -c; its rhs accumulates the objective value.
-    obj = [-x for x in c] + [zero] * (nrows + 1)
-    basis = [nvars + r for r in range(nrows)]
-    width = nvars + nrows + 1
-
-    max_pivots = _pivot_limit(nvars, nrows)
-    pivots = 0
-    while (entering := _entering(obj, nvars + nrows, -ctx.atol)) is not None:
-        pivots += 1
-        if pivots > max_pivots:
-            raise InvariantViolation("simplex pivot limit exceeded")
-        leaving_row = None
-        best_ratio = None
-        for r in range(nrows):
-            coef = rows[r][entering]
-            if coef > ctx.atol:
-                ratio = rows[r][width - 1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
-                    leaving_row = r
-        if leaving_row is None:
-            raise DualityError("LP is unbounded")
-        pivot_row = rows[leaving_row]
-        pivot = pivot_row[entering]
-        for col in range(width):
-            pivot_row[col] /= pivot
-        for r in range(nrows):
-            if r == leaving_row:
-                continue
-            factor = rows[r][entering]
-            if factor == 0:
-                continue
-            row = rows[r]
-            for col in range(width):
-                row[col] -= factor * pivot_row[col]
-        factor = obj[entering]
-        if factor != 0:
-            for col in range(width):
-                obj[col] -= factor * pivot_row[col]
-        basis[leaving_row] = entering
-
-    x = [zero] * nvars
-    for r, var in enumerate(basis):
-        if var < nvars:
-            x[var] = rows[r][width - 1]
-    return obj[width - 1], tuple(x)
+            x[var] = (rows[r][rhs], rows[r][var])
+    return [(obj[rhs], obj[-1])] + x

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from itertools import repeat, starmap
+from operator import add, truediv
 from typing import Union
 
 from .errors import ParseError, ValidationError
@@ -105,15 +106,11 @@ class Context:
                 self.vector(row, f"{where}[{i}]")
             raise
 
-    # Comparisons.  "lt" means strictly below beyond the tolerance.
     def eq(self, a, b) -> bool:
         return abs(a - b) <= self.atol
 
     def leq(self, a, b) -> bool:
         return a <= b + self.atol
-
-    def lt(self, a, b) -> bool:
-        return a < b - self.atol
 
     def is_zero(self, a) -> bool:
         return abs(a) <= self.atol
@@ -176,12 +173,17 @@ def to_lattice(*vectors) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def from_lattice(vector, scale: int, mode: str) -> tuple[Number, ...]:
-    """x / scale for integer lattice points x: exact ``Fraction``s in rational
-    mode, and in float mode floats rounded once, correctly."""
+    """x / scale for integer lattice points x, as :func:`from_ratios` reads them."""
+    return from_ratios(zip(vector, repeat(scale)), mode)
+
+
+def from_ratios(pairs, mode: str) -> tuple[Number, ...]:
+    """p / q for integer pairs (p, q) with q > 0: exact ``Fraction``s in
+    rational mode, and in float mode floats rounded once, correctly."""
     if mode == RATIONAL_MODE:
-        return tuple(Fraction(x, scale) for x in vector)
+        return tuple(starmap(Fraction, pairs))
     try:
-        return tuple(x / scale for x in vector)
+        return tuple(starmap(truediv, pairs))
     except OverflowError:
         raise ValidationError("a result is beyond the float range: float arithmetic overflowed") from None
 

@@ -43,9 +43,9 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     """
     metric, mu, nu = as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu")
     ctx = resolve_context(ctx, metric, mu, nu)
-    d = ctx.matrix(metric)
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
+    d = ctx.matrix(metric, "metric")
+    mu = ctx.vector(mu, "mu")
+    nu = ctx.vector(nu, "nu")
     n = len(mu)
     if len(nu) != n or len(d) != n or any(len(row) != n for row in d):
         raise ValidationError("metric and marginals must share one point set")
@@ -96,9 +96,10 @@ def lipschitz_violations(metric: Matrix, f, ctx: Context | None = None) -> tuple
     """Pairs (i, j) where |f_i - f_j| exceeds d(i, j)."""
     metric, f = as_rows(metric, "metric"), as_tuple(f, "f")
     ctx = resolve_context(ctx, metric, f)
+    d, f = ctx.matrix(metric, "metric"), ctx.vector(f, "f")
     bad = []
     for i in range(len(f)):
         for j in range(len(f)):
-            if i != j and not ctx.leq(abs(f[i] - f[j]), metric[i][j]):
+            if i != j and not ctx.leq(abs(f[i] - f[j]), d[i][j]):
                 bad.append((i, j))
     return tuple(bad)

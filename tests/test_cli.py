@@ -306,7 +306,11 @@ def test_library_solvers_name_a_bad_container(solver, args, named):
     lambda bad, ctx: ot.oscillation(
         ((0, bad), (1, 0)), ot.Partition(cells=((True, True),), representatives=(0,)), ctx
     ),
-], ids=["oracle_enumerate", "min_cover", "wasserstein1", "lipschitz_modulus", "oscillation"])
+    lambda bad, ctx: lipschitz_violations(((0, bad), (bad, 0)), (0, 2), ctx),
+], ids=[
+    "oracle_enumerate", "min_cover", "wasserstein1", "lipschitz_modulus", "oscillation",
+    "lipschitz_violations",
+])
 def test_library_entries_reject_a_bad_number(call, bad, mode):
     with pytest.raises(DualityError):
         call(bad, ot.Context(mode))
@@ -325,12 +329,29 @@ FAMILY = ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),))
     (lambda: ot.product_coupling(5, HALF), "mu"),
     (lambda: ot.transport_polytope_vertices(5, HALF), "mu"),
     (lambda: simplex_maximize((1,), ((1,),), None), "rhs"),
+    (lambda: ot.diagonal_coupling(None), "space"),
 ], ids=[
     "min_cover", "arveson_witness", "truncation_duality", "wasserstein1", "lipschitz_dual",
     "lipschitz_modulus", "product_coupling", "transport_polytope_vertices", "simplex_maximize",
+    "diagonal_coupling",
 ])
 def test_library_entries_name_a_bad_container(call, named):
     with pytest.raises(ParseError, match=f"^{named} is not a sequence"):
+        call()
+
+
+# Distances of 1e308 make the Lipschitz LP's right-hand sides overflow.
+FAR = ((0, 1e308, 1e308), (1e308, 0, 1e308), (1e308, 1e308, 0))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: simplex_maximize((1, "x"), ((1, 1),), (1,)), "objective[1]"),
+    (lambda: simplex_maximize((1,), ((1,), (None,)), (1, 1)), "lhs[1][0]"),
+    (lambda: simplex_maximize((1,), ((1,),), (float("inf"),)), "rhs[0]"),
+    (lambda: ot.wasserstein1(FAR, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5)), "rhs[0]"),
+], ids=["objective", "lhs", "rhs", "wasserstein1"])
+def test_simplex_maximize_names_a_bad_entry(call, named):
+    with pytest.raises(ParseError, match=re.escape(named)):
         call()
 
 

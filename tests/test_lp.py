@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otdual.errors import DualityError
+from otdual.errors import DualityError, ValidationError
 from otdual.lp import simplex_maximize
+from otdual.numeric import FLOAT
 
 
 def _det(rows):
@@ -84,3 +85,41 @@ def test_integer_tableau_matches_vertex_enumeration(lp):
     assert all(v >= 0 for v in x)
     assert all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(lhs, rhs))
     assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+def test_float_mode_rounds_the_exact_solve_once(lp):
+    def each(read, lp):
+        objective, lhs, rhs = lp
+        return [read(v) for v in objective], [[read(v) for v in row] for row in lhs], [read(v) for v in rhs]
+
+    floats = each(float, lp)
+    try:
+        value, x = simplex_maximize(*each(F, floats))
+    except DualityError as exc:
+        with pytest.raises(DualityError, match=str(exc)):
+            simplex_maximize(*floats, FLOAT)
+        return
+    found = simplex_maximize(*floats, FLOAT)
+    assert all(type(v) is float for v in (found[0], *found[1]))
+    assert found == (float(value), tuple(map(float, x)))
+
+
+@pytest.mark.parametrize("objective, lhs, rhs, expected", [
+    ([1e-12], [[1.0]], [1.0], (1e-12, (1.0,))),
+    ([1.0], [[1e-12]], [1.0], (1e12, (1e12,))),
+], ids=["tiny-objective", "tiny-coefficient"])
+def test_float_mode_leaves_no_entry_to_the_tolerance(objective, lhs, rhs, expected):
+    assert simplex_maximize(objective, lhs, rhs) == expected
+
+
+def test_float_mode_names_an_overflowed_result():
+    with pytest.raises(ValidationError, match="overflowed"):
+        simplex_maximize([1.0], [[1e-300]], [1e300])
+
+
+def test_float_rhs_within_the_tolerance_below_zero_reads_as_zero():
+    assert simplex_maximize([1.0], [[1.0]], [-1e-12]) == (0.0, (0.0,))
+    with pytest.raises(DualityError, match="b >= 0"):
+        simplex_maximize([1.0], [[1.0]], [-1e-6])

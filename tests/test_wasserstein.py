@@ -74,13 +74,13 @@ GOLDEN_WITNESSES = {
     ("rational", 11): "ec76b0616db7acb71648ef6c1ac17f41a531d7e21d940b2230aa081f53734aeb",
     ("rational", 12): "ed0595a7e08a8ef570a8370c0bd58af8d811cdfc9646d085061abcfc009353f7",
     ("float", 5): "d9d71521952667c9f3bd97612cbe36f26ed91a7fc39772b0bb8c04bf4e4f89fb",
-    ("float", 6): "9ed33d61b76cab2ca0416ad2382835980119dad457a0a80afaf796534c49ee45",
-    ("float", 7): "730a4cf019add4aac65681b5b20b3b5ad12f18d793bbc36263270d1c16bfa6b6",
+    ("float", 6): "3c309f4f78e4ac565582cb40931a6de4d23b101fca27d7b27d25d8a5f80acd44",
+    ("float", 7): "eced80b51a550df60cf01217ea1f1db33d038ca5605cf265325062e674a9c823",
     ("float", 8): "598c094b55cf3029154ac85bcf499785cc10ba0b93ecc18af40cf554ff06ba6d",
     ("float", 9): "fb4c07ec64d95f24267b2a6a1bd3cf632be3f3b89554f5172fb03f6d24417e76",
     ("float", 10): "e5990b21443fff446f74c22d83be61cce4677c11537f8028e1b33951ca38d2a8",
-    ("float", 11): "6ee684871f800c18985b53a4d59cca31f8413b7ea3bec9eb81d0220fbd00ac5a",
-    ("float", 12): "acd3e4b3447552efc5c5b628a362841bf2274e60d6296d5b691fab2301afab1d",
+    ("float", 11): "b6fd7bad2e5f4e82f0bb7193f5be14a394f4a1fd286dc0ec81bd1f227a506eaa",
+    ("float", 12): "d0682298cf05c8b9b5b98fab8b58aa48018634bfe9db776b83c22d3ccff0ccc1",
 }
 
 
