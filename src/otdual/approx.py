@@ -14,7 +14,7 @@ from .errors import (
     NotMonotone,
     ValidationError,
 )
-from .numeric import Context, Number, as_rows, as_tuple, resolve_context
+from .numeric import Context, Number, read_arguments
 from .spaces import (
     Mask,
     Matrix,
@@ -40,15 +40,13 @@ def lipschitz_infconv(
     set, and sits below c wherever x is itself an anchor.  With the full
     anchor set it is the largest n-Lipschitz-in-x function below c.
     """
-    cost = as_cost(c)
     if space_x.metric is None:
         raise ValidationError("infimal convolution needs a metric on X")
-    ctx = resolve_context(ctx, cost.values, space_x.metric, n)
-    n = ctx.number(n, "n")
+    ctx, n, values, d = read_arguments(
+        ctx, (n, "n", 0), (as_cost(c).values, "cost", 2), (space_x.metric, "space_x.metric", 2)
+    )
     if n <= 0:
         raise ValidationError("the Lipschitz parameter must be positive")
-    values = ctx.matrix(cost.values)
-    d = ctx.matrix(space_x.metric)
     m = len(values)
     if m != space_x.size:
         raise ValidationError("cost row count differs from the X point count")
@@ -76,13 +74,13 @@ def shifted_infconv(
 ) -> CostMatrix:
     """min over all z of n*d(x,z) + c(z,y) - f(z): the infimal convolution of
     the shifted cost c - f."""
-    cost = as_cost(c)
-    f = as_tuple(f, "f")
-    ctx = resolve_context(ctx, cost.values, space_x.metric, f, n)
-    values = ctx.matrix(cost.values)
-    shifted = tuple(
-        tuple(x - fz for x in row) for row, fz in zip(values, ctx.vector(f))
+    # n and the metric are read by lipschitz_infconv; they are passed here
+    # too so that the inferred mode counts every argument.
+    ctx, values, f, _, _ = read_arguments(
+        ctx, (as_cost(c).values, "cost", 2), (f, "f", 1), (n, "n", 0),
+        (space_x.metric, "space_x.metric", 2),
     )
+    shifted = tuple(tuple(x - fz for x in row) for row, fz in zip(values, f))
     return lipschitz_infconv(shifted, n, space_x, ctx=ctx)
 
 
@@ -90,13 +88,14 @@ def row_min_potential(c, g=None) -> Vector:
     """f(x) = min over y of c(x,y) - g(y); the tight lower potential for g."""
     values = as_cost(c).values
     if g is None:
-        return tuple(min(row) for row in values)
+        g = (0,) * (len(values[0]) if values else 0)
+    _, values, g = read_arguments(None, (values, "cost", 2), (g, "g", 1))
     return tuple(min(x - gy for x, gy in zip(row, g)) for row in values)
 
 
 def partition_discretize(c, partition: Partition, ctx: Context | None = None) -> CostMatrix:
     """Replace each row by its cell representative's row; the null cell keeps c."""
-    values = as_cost(c).values
+    _, values = read_arguments(ctx, (as_cost(c).values, "cost", 2))
     if len(values) != partition.size:
         raise ValidationError("cost row count differs from the partition size")
     rows = list(values)
@@ -122,9 +121,7 @@ def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Nu
 
     The null cell's entry is None: its oscillation is never constrained.
     """
-    values = as_cost(c).values
-    ctx = resolve_context(ctx, values)
-    values = ctx.matrix(values, "cost")
+    ctx, values = read_arguments(ctx, (as_cost(c).values, "cost", 2))
     if len(values) != partition.size:
         raise ValidationError("cost row count differs from the partition size")
     out: list[Number | None] = []
@@ -157,16 +154,14 @@ def oscillation_partition(
     diameter < eps/u, seeding each new cell at the unassigned point farthest
     from the seeds already chosen.
     """
-    cost = as_cost(c)
     if space_x.metric is None:
         raise ValidationError("partitioning needs a metric on X")
-    ctx = resolve_context(ctx, cost.values, space_x.metric, eps, lipschitz_bound)
-    eps = ctx.number(eps)
-    u = ctx.number(lipschitz_bound)
+    ctx, eps, u, values, d = read_arguments(
+        ctx, (eps, "eps", 0), (lipschitz_bound, "lipschitz_bound", 0),
+        (as_cost(c).values, "cost", 2), (space_x.metric, "space_x.metric", 2),
+    )
     if eps <= 0 or u <= 0:
         raise ValidationError("eps and the Lipschitz bound must be positive")
-    values = ctx.matrix(cost.values)
-    d = ctx.matrix(space_x.metric)
     m = len(values)
     if m != space_x.size:
         raise ValidationError("cost row count differs from the X point count")
@@ -204,18 +199,19 @@ def oscillation_partition(
 
 def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> CostMatrix:
     """Subtract a feasible lower pair: h = c - (f+g), nonnegative entrywise."""
-    cost = as_cost(c)
-    ctx = resolve_context(ctx, cost.values, lower.f, lower.g)
     if lower.side != "lower":
         raise InfeasibleWitness("normalization needs a lower-side pair")
-    defect = potential_defect(lower, ctx.matrix(cost.values), ctx)
+    ctx, values, f, g = read_arguments(
+        ctx, (as_cost(c).values, "cost", 2), (lower.f, "lower.f", 1), (lower.g, "lower.g", 1)
+    )
+    defect = potential_defect(lower, values, ctx)
     if not ctx.leq(defect, 0):
         raise InfeasibleWitness(f"pair exceeds the cost by {defect} somewhere")
     zero = ctx.number(0)
     rows = []
-    for row, fi in zip(ctx.matrix(cost.values), ctx.vector(lower.f)):
+    for row, fi in zip(values, f):
         out = []
-        for x, gj in zip(row, ctx.vector(lower.g)):
+        for x, gj in zip(row, g):
             h = x - fi - gj
             out.append(h if h > 0 else zero if ctx.nonneg(h) else h)
         rows.append(tuple(out))
@@ -227,11 +223,9 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
 
     Returns None when no finite u works (distinct rows at distance 0).
     """
-    values = as_cost(c).values
-    metric = as_rows(metric, "metric")
-    ctx = resolve_context(ctx, values, metric)
-    values = ctx.matrix(values, "cost")
-    metric = ctx.matrix(metric, "metric")
+    ctx, values, metric = read_arguments(
+        ctx, (as_cost(c).values, "cost", 2), (metric, "metric", 2)
+    )
     worst = ctx.number(0)
     for x in range(len(values)):
         for z in range(x + 1, len(values)):
@@ -298,30 +292,29 @@ def beta_star_limit_check(
     base, or (float-mode pathology only) when the beta* values themselves
     fail to be nondecreasing.
     """
-    base = sequence.base_cost
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, base.values, mu, nu)
+    ctx, mu, nu, base, *stages = read_arguments(
+        ctx, (mu, "mu", 1), (nu, "nu", 1), (sequence.base_cost.values, "sequence.base_cost", 2),
+        *((stage.values, f"sequence.stages[{k}]", 2) for k, (_, stage) in enumerate(sequence.stages)),
+    )
     previous = None
-    for param, stage in sequence.stages:
+    for (param, _), stage in zip(sequence.stages, stages):
         if previous is not None:
-            for row_a, row_b in zip(previous.values, stage.values):
+            for row_a, row_b in zip(previous, stage):
                 for a, b in zip(row_a, row_b):
                     if not ctx.leq(a, b):
                         raise NotMonotone(f"stage {param} drops below its predecessor")
-        for row_s, row_c in zip(stage.values, base.values):
+        for row_s, row_c in zip(stage, base):
             for s, x in zip(row_s, row_c):
                 if not ctx.leq(s, x):
                     raise NotMonotone(f"stage {param} exceeds the base cost")
         previous = stage
-    stage_values = tuple(
-        solve_beta_star(stage, mu, nu, ctx).value for _, stage in sequence.stages
-    )
+    stage_values = tuple(solve_beta_star(stage, mu, nu, ctx).value for stage in stages)
     for a, b in zip(stage_values, stage_values[1:]):
         if not ctx.leq(a, b):
             raise NotMonotone("beta* values decreased along the stages")
     # Once the stages reach the Lipschitz modulus the last stage is the base
     # cost itself, and its value is already known.
-    if sequence.stages and sequence.stages[-1][1].values == base.values:
+    if stages and stages[-1] == base:
         base_value = stage_values[-1]
     else:
         base_value = solve_beta_star(base, mu, nu, ctx).value

@@ -228,10 +228,10 @@ def _scenario_extend(instance, ctx, options):
         for k, members in enumerate(map(mask_indices, part.cells))
     )
     coarse_report = solve_alpha(rows, masses, nu, ctx)
-    coarse = CoarseCoupling(partition=part, matrix=coarse_report.coupling.matrix, nu=ctx.vector(nu))
+    coarse = CoarseCoupling(partition=part, matrix=coarse_report.coupling.matrix, nu=nu)
     fine = extend_coupling(coarse, mu, ctx)
     alpha = solve_alpha(cost, mu, nu, ctx).value
-    fine_value = transport_value(fine, ctx.matrix(cost.values))
+    fine_value = transport_value(fine, cost.values)
     agreement_ok = True
     for k, cell in enumerate(part.cells):
         members = mask_indices(cell)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, as_rows, fold_sum, resolve_context
+from .numeric import Context, Number, as_rows, fold_sum, read_arguments
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -32,23 +32,25 @@ class PotentialPair:
             raise ValidationError(f"side must be 'lower' or 'upper', got {self.side!r}")
 
     def dual_value(self, mu: Sequence[Number], nu: Sequence[Number]) -> Number:
-        if len(mu) != len(self.f) or len(nu) != len(self.g):
-            raise ValidationError("marginal lengths differ from potential lengths")
-        return fold_sum(w * x for w, x in zip(mu, self.f)) + fold_sum(
-            w * x for w, x in zip(nu, self.g)
+        _, mu, nu, f, g = read_arguments(
+            None, (mu, "mu", 1), (nu, "nu", 1), (self.f, "f", 1), (self.g, "g", 1)
         )
+        if len(mu) != len(f) or len(nu) != len(g):
+            raise ValidationError("marginal lengths differ from potential lengths")
+        return fold_sum(w * x for w, x in zip(mu, f)) + fold_sum(w * x for w, x in zip(nu, g))
 
 
 def potential_defect(pair: PotentialPair, values: Matrix, ctx: Context | None = None) -> Number:
     """Largest violation of the pair's side constraint; 0 when feasible."""
-    ctx = resolve_context(ctx, values, pair.f, pair.g)
-    if len(values) != len(pair.f) or any(len(row) != len(pair.g) for row in values):
+    ctx, values, f, g = read_arguments(
+        ctx, (values, "values", 2), (pair.f, "pair.f", 1), (pair.g, "pair.g", 1)
+    )
+    if len(values) != len(f) or any(len(row) != len(g) for row in values):
         raise ValidationError("potential pair does not match the cost shape")
     worst = ctx.number(0)
-    for i, fi in enumerate(pair.f):
-        row = values[i]
-        for j, gj in enumerate(pair.g):
-            gap = fi + gj - row[j] if pair.side == LOWER else row[j] - fi - gj
+    for fi, row in zip(f, values):
+        for gj, x in zip(g, row):
+            gap = fi + gj - x if pair.side == LOWER else x - fi - gj
             if gap > worst:
                 worst = gap
     return worst
@@ -76,8 +78,12 @@ class CostMatrix:
                 continue
             if pair.side != side:
                 raise ValidationError(f"{side} witness has side {pair.side!r}")
-            defect = potential_defect(pair, values)
-            ctx = resolve_context(None, values, pair.f, pair.g)
+            # Read here to name the pair's entries by their field.
+            ctx, read, _, _ = read_arguments(
+                None, (values, "values", 2), (pair.f, f"{side}_potential.f", 1),
+                (pair.g, f"{side}_potential.g", 1),
+            )
+            defect = potential_defect(pair, read, ctx)
             if not ctx.leq(defect, 0):
                 raise ValidationError(
                     f"{side} bounding pair violates its inequality by {defect}"

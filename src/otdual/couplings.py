@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch, ValidationError
-from .numeric import Context, as_tuple, fold_sum, resolve_context
+from .numeric import Context, as_tuple, fold_sum, read_arguments
 from .spaces import Matrix, Partition, ProbabilitySpace, Vector, mask_indices, pushforward
 from .transport import Coupling
 
@@ -40,11 +40,9 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
     plan on every (union of cells) x (subset of Y) rectangle.  Cells of mass
     zero are skipped; their points receive zero rows.
     """
-    mu = as_tuple(mu, "mu")
-    ctx = resolve_context(ctx, coarse.matrix, coarse.nu, mu)
-    mu = ctx.vector(mu)
-    t = ctx.matrix(coarse.matrix)
-    nu = ctx.vector(coarse.nu)
+    ctx, mu, t, nu = read_arguments(
+        ctx, (mu, "mu", 1), (coarse.matrix, "coarse.matrix", 2), (coarse.nu, "coarse.nu", 1)
+    )
     partition = coarse.partition
     if partition.size != len(mu):
         raise ValidationError("mu length differs from the partition's space size")
@@ -77,10 +75,8 @@ def monge_coupling(
     space_x: ProbabilitySpace, mapping: Sequence[int], nu, ctx: Context | None = None
 ) -> Coupling:
     """The coupling concentrated on the graph of a measure-preserving map."""
-    mapping, nu = as_tuple(mapping, "mapping"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, space_x.weights, nu)
-    mu = ctx.vector(space_x.weights)
-    nu = ctx.vector(nu)
+    mapping = as_tuple(mapping, "mapping")
+    ctx, mu, nu = read_arguments(ctx, (space_x.weights, "space_x.weights", 1), (nu, "nu", 1))
     image = pushforward(space_x, mapping, len(nu), ctx)
     defect = tuple(b - a for a, b in zip(image, nu))
     if any(not ctx.is_zero(x) for x in defect):
@@ -96,10 +92,7 @@ def monge_coupling(
 
 
 def product_coupling(mu, nu, ctx: Context | None = None) -> Coupling:
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, mu, nu)
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
     return Coupling(
         matrix=tuple(tuple(a * b for b in nu) for a in mu), mu=mu, nu=nu
     )
@@ -112,16 +105,13 @@ def diagonal_coupling(space, target=None, ctx: Context | None = None) -> Couplin
     and ``target`` are spaces their point sets must coincide.
     """
     if isinstance(space, ProbabilitySpace):
-        weights = space.weights
+        ctx, mu = read_arguments(ctx, (space.weights, "space.weights", 1))
         if isinstance(target, ProbabilitySpace) and target.points != space.points:
             raise SpaceMismatch("diagonal coupling needs X and Y to share points")
     else:
-        weights = as_tuple(space, "space")
-        if target is not None and isinstance(target, ProbabilitySpace):
-            if len(target.points) != len(weights):
-                raise SpaceMismatch("diagonal coupling needs equal point counts")
-    ctx = resolve_context(ctx, weights)
-    mu = ctx.vector(weights)
+        ctx, mu = read_arguments(ctx, (space, "space", 1))
+        if isinstance(target, ProbabilitySpace) and len(target.points) != len(mu):
+            raise SpaceMismatch("diagonal coupling needs equal point counts")
     zero = ctx.number(0)
     n = len(mu)
     matrix = tuple(

@@ -14,7 +14,7 @@ from random import Random
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import Context, format_number
+from .numeric import Context, format_number, read_arguments
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -74,13 +74,13 @@ def _parse_indices(values, size: int, where: str) -> tuple[int, ...]:
 def _parse_vector(values, ctx, where) -> Vector:
     if not isinstance(values, list):
         raise ParseError(f"{where} must be a list")
-    return ctx.vector(values, where)
+    return read_arguments(ctx, (values, where, 1))[1]
 
 
 def _parse_matrix(rows, ctx, where) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where} must be a list of lists")
-    return ctx.matrix(rows, where)
+    return read_arguments(ctx, (rows, where, 2))[1]
 
 
 def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
@@ -338,12 +338,14 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
     cost = random_cost_matrix(rng, m, n)
     rectangles = random_rectangles(rng, m, n)
     partition = random_partition(rng, m)
-    ctx = Context(mode)
+    ctx, mu, nu, metric, cost = read_arguments(
+        Context(mode), (mu, "mu", 1), (nu, "nu", 1), (metric, "metric", 2), (cost, "cost", 2)
+    )
     return Instance(
         ctx=ctx,
-        space_x=make_space(ctx.vector(mu), ctx.matrix(metric)),
-        space_y=make_space(ctx.vector(nu), prefix="y"),
-        cost=CostMatrix(values=ctx.matrix(cost)),
+        space_x=make_space(mu, metric),
+        space_y=make_space(nu, prefix="y"),
+        cost=CostMatrix(values=cost),
         rectangles=rectangles,
         partition=partition,
         mapping=mapping,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import DualityError, InvariantViolation
-from .numeric import Context, Number, as_rows, as_tuple, from_ratios, resolve_context, to_lattice
+from .numeric import Context, Number, from_ratios, read_arguments, to_lattice
 
 
 def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[Number, tuple[Number, ...]]:
@@ -30,11 +30,9 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
     nonnegative right-hand sides.  A float rhs within the tolerance below
     0 is read as 0.
     """
-    objective, lhs, rhs = as_tuple(objective, "objective"), as_rows(lhs, "lhs"), as_tuple(rhs, "rhs")
-    ctx = resolve_context(ctx, objective, lhs, rhs)
-    c = ctx.vector(objective, "objective")
-    a = ctx.matrix(lhs, "lhs")
-    b = ctx.vector(rhs, "rhs")
+    ctx, c, a, b = read_arguments(
+        ctx, (objective, "objective", 1), (lhs, "lhs", 2), (rhs, "rhs", 1)
+    )
     if any(len(row) != len(c) for row in a) or len(b) != len(a):
         raise DualityError("LP shapes do not line up")
     if any(x < -ctx.atol for x in b):

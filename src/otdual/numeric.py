@@ -10,9 +10,11 @@ tolerance, default 1e-9).  Every operation in the package takes an optional
 boundary: every number read, from an instance file, a CLI flag or a library
 call, goes through the first, and every number written goes through the
 second.  Both refuse non-finite values, which lie outside the real-valued
-costs and measures the transport values are defined for.  :func:`as_tuple`
-and :func:`as_rows` name an argument that should hold numbers but is not a
-sequence.  :func:`fold_sum` is the one summation rule.
+costs and measures the transport values are defined for.
+:func:`read_arguments` is the one library boundary: every public entry
+reads its numbers, vectors and matrices through it, so a bad argument
+raises ``ParseError`` naming the parameter (``cost[0][1]``, ``mu[2]``,
+``eps``).  :func:`fold_sum` is the one summation rule.
 """
 from __future__ import annotations
 
@@ -84,28 +86,6 @@ class Context:
             raise ParseError(f"{where} is {value!r}, not a finite number")
         return number
 
-    def vector(self, values, where: str = "value") -> tuple[Number, ...]:
-        """Each entry read by :meth:`number`; a bad one is named ``where[i]``."""
-        values = tuple(values)
-        try:
-            return tuple(map(self.number, values))
-        except ParseError:
-            # Label only on failure: building every label costs more than
-            # reading the entries.
-            for i, value in enumerate(values):
-                self.number(value, f"{where}[{i}]")
-            raise
-
-    def matrix(self, rows, where: str = "value") -> tuple[tuple[Number, ...], ...]:
-        """Each row read by :meth:`vector`; a bad entry is named ``where[i][j]``."""
-        rows = tuple(rows)
-        try:
-            return tuple(tuple(map(self.number, row)) for row in rows)
-        except ParseError:
-            for i, row in enumerate(rows):
-                self.vector(row, f"{where}[{i}]")
-            raise
-
     def eq(self, a, b) -> bool:
         return abs(a - b) <= self.atol
 
@@ -136,8 +116,11 @@ def as_rows(rows, where: str) -> tuple[tuple, ...]:
     return tuple(as_tuple(row, f"{where}[{i}]") for i, row in enumerate(as_tuple(rows, where)))
 
 
-def infer_context(*objects) -> Context:
-    """RATIONAL unless a float is found anywhere in the (nested) inputs."""
+def resolve_context(ctx: Context | None, *objects) -> Context:
+    """``ctx``; when it is None, RATIONAL unless a float is found anywhere in
+    the (nested) ``objects``."""
+    if ctx is not None:
+        return ctx
     stack = list(objects)
     while stack:
         obj = stack.pop()
@@ -148,8 +131,44 @@ def infer_context(*objects) -> Context:
     return RATIONAL
 
 
-def resolve_context(ctx: Context | None, *objects) -> Context:
-    return ctx if ctx is not None else infer_context(*objects)
+def _read_vector(ctx: Context, values: tuple, where: str) -> tuple[Number, ...]:
+    try:
+        return tuple(map(ctx.number, values))
+    except ParseError:
+        # Label only on failure: building every label costs more than
+        # reading the entries.
+        for i, value in enumerate(values):
+            ctx.number(value, f"{where}[{i}]")
+        raise
+
+
+def _read_matrix(ctx: Context, rows: tuple, where: str) -> tuple[tuple[Number, ...], ...]:
+    try:
+        return tuple(tuple(map(ctx.number, row)) for row in rows)
+    except ParseError:
+        for i, row in enumerate(rows):
+            _read_vector(ctx, row, f"{where}[{i}]")
+        raise
+
+
+# By rank: how to take an argument, and how to read the taken argument.
+_TAKE = (lambda value, where: value, as_tuple, as_rows)
+_READ = (Context.number, _read_vector, _read_matrix)
+
+
+def read_arguments(ctx: Context | None, *arguments) -> tuple:
+    """``(ctx, *values)`` for ``(value, where, rank)`` arguments, read once.
+
+    Rank 0 is a number, 1 a vector and 2 a matrix.  Each argument is taken
+    once as a tuple (or a tuple of tuples), so a generator is consumed once
+    and a non-sequence raises ``ParseError`` naming ``where``.  The context
+    is ``ctx``, or when it is None is inferred from every argument.  Each
+    entry is then read by :meth:`Context.number`, so a bad one is named
+    ``where``, ``where[i]`` or ``where[i][j]``.
+    """
+    taken = [(_TAKE[rank](value, where), where, rank) for value, where, rank in arguments]
+    ctx = resolve_context(ctx, *(value for value, _, _ in taken))
+    return (ctx, *(_READ[rank](ctx, value, where) for value, where, rank in taken))
 
 
 def fold_sum(values) -> Number:

@@ -15,7 +15,7 @@ from collections import deque
 from itertools import combinations
 
 from .errors import InstanceTooLarge, UnknownObjective
-from .numeric import Context, Number, as_tuple, fold_sum, resolve_context
+from .numeric import Context, Number, fold_sum, read_arguments
 from .spaces import Matrix
 from .transport import ALPHA, ALPHA_STAR, _validated_inputs
 
@@ -63,10 +63,7 @@ def transport_polytope_vertices(
     mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
 ) -> tuple[Matrix, ...]:
     """All distinct extreme couplings of the polytope with marginals mu, nu."""
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, mu, nu)
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
     m, n = len(mu), len(nu)
     if m * n > cap:
         raise InstanceTooLarge(f"{m}x{n} = {m * n} cells exceeds the cap of {cap}")

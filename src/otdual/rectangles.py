@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .costs import CostMatrix
 from .errors import IndexOutOfRange, InvariantViolation, ValidationError
-from .numeric import Context, Number, as_tuple, resolve_context
+from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
 from .spaces import (
     Mask,
     Matrix,
@@ -100,17 +100,18 @@ def covers(family: RectangleFamily, a: Mask, b: Mask) -> bool:
     return True
 
 
-def _max_flow_cut(h: Matrix, mu, nu, ctx):
-    """Edmonds-Karp on the cover network; returns (flow value, source side)."""
+def _max_flow_cut(h: Matrix, mu: tuple[int, ...], nu: tuple[int, ...]):
+    """Edmonds-Karp on the cover network with integer capacities; returns
+    (flow value, source side)."""
     m, n = len(mu), len(nu)
     source, sink = 0, 1 + m + n
-    big = ctx.number(2)  # exceeds any possible flow (total mass is 1)
-    cap: dict[tuple[int, int], Number] = {}
+    big = fold_sum(mu) + 1  # exceeds any possible flow
+    cap: dict[tuple[int, int], int] = {}
     adj: dict[int, list[int]] = {k: [] for k in range(m + n + 2)}
 
     def add_edge(u, v, c):
         cap[(u, v)] = c
-        cap[(v, u)] = ctx.number(0)
+        cap[(v, u)] = 0
         adj[u].append(v)
         adj[v].append(u)
 
@@ -123,14 +124,14 @@ def _max_flow_cut(h: Matrix, mu, nu, ctx):
             if h[i][j]:
                 add_edge(1 + i, 1 + m + j, big)
 
-    total = ctx.number(0)
+    total = 0
     while True:
         parent = {source: source}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
             for v in adj[u]:
-                if v not in parent and cap[(u, v)] > ctx.atol:
+                if v not in parent and cap[(u, v)] > 0:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
@@ -158,16 +159,15 @@ def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Co
 
     Extracted from the min cut: a is the rows unreachable from the source in
     the residual network, b the reachable columns.  The containment is
-    re-verified entrywise before returning.
+    re-verified entrywise before returning.  The flow runs on mu and nu
+    scaled onto one integer lattice, so the cut is exact in both modes.
     """
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, mu, nu)
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
     if len(mu) != family.nx or len(nu) != family.ny:
         raise ValidationError("marginal lengths differ from the family's spaces")
-    h = family.union_matrix()
-    flow, reachable = _max_flow_cut(h, mu, nu, ctx)
+    scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
+    flow, reachable = _max_flow_cut(family.union_matrix(), mass_mu, mass_nu)
+    (flow,) = from_lattice((flow,), scale, ctx.mode)
     a = tuple((1 + i) not in reachable for i in range(family.nx))
     b = tuple((1 + family.nx + j) in reachable for j in range(family.ny))
     value = mask_mass(mu, a) + mask_mass(nu, b)
@@ -194,8 +194,7 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     Otherwise the returned report carries the positive maximal coupling mass
     together with a maximizing coupling.
     """
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, mu, nu)
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
     cover = min_cover(family, mu, nu, ctx)
     if ctx.is_zero(cover.value):
         return cover
@@ -228,12 +227,9 @@ def truncation_duality(
     The report states the certified bound, whether the tail mass is below
     eps, and the directly solved alpha(H) for comparison.
     """
-    mu, nu = as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, mu, nu, eps)
+    ctx, mu, nu, eps = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1), (eps, "eps", 0))
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
-    mu = ctx.vector(mu)
-    nu = ctx.vector(nu)
     head = solve_alpha(indicator_cost(family.head(n + 1), UNION), mu, nu, ctx)
     head_alpha = head.value
     head_beta = head.potentials.dual_value(mu, nu)
@@ -249,7 +245,7 @@ def truncation_duality(
         head_beta=head_beta,
         duality_gap=gap,
         tail_mass=tail_mass,
-        tail_below_eps=tail_mass < ctx.number(eps),
+        tail_below_eps=tail_mass < eps,
         full_alpha=full_alpha,
         certified_bound=certified,
         bound_holds=ctx.leq(full_alpha, certified),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
-from .numeric import Context, Number, as_tuple, fold_sum, resolve_context
+from .numeric import Context, Number, as_tuple, fold_sum, read_arguments
 
 Mask = tuple[bool, ...]
 Vector = tuple[Number, ...]
@@ -44,6 +44,7 @@ def mask_union(*masks: Mask) -> Mask:
 
 
 def mask_mass(weights: Sequence[Number], mask: Mask) -> Number:
+    _, weights = read_arguments(None, (weights, "weights", 1))
     if len(weights) != len(mask):
         raise ValidationError("mask length differs from weight vector length")
     return fold_sum(w for w, b in zip(weights, mask) if b)
@@ -113,8 +114,10 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
     A triangle violation is recorded as (i, k, j) meaning
     d(i, j) > d(i, k) + d(k, j).
     """
-    ctx = resolve_context(ctx, space.weights, space.metric)
-    w = ctx.vector(space.weights)
+    # A space without a metric has no metric axioms to check.
+    ctx, w, d = read_arguments(
+        ctx, (space.weights, "space.weights", 1), (space.metric or (), "space.metric", 2)
+    )
     defect = abs(fold_sum(w) - 1)
     negative = tuple(i for i, x in enumerate(w) if not ctx.nonneg(x))
 
@@ -122,22 +125,20 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
     diag: list[int] = []
     negd: list[tuple[int, int]] = []
     tri: list[tuple[int, int, int]] = []
-    if space.metric is not None:
-        d = ctx.matrix(space.metric)
-        n = len(d)
-        for i in range(n):
-            if not ctx.is_zero(d[i][i]):
-                diag.append(i)
-            for j in range(n):
-                if d[i][j] < -ctx.atol:
-                    negd.append((i, j))
-                if i < j and not ctx.eq(d[i][j], d[j][i]):
-                    sym.append((i, j))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not ctx.leq(d[i][j], d[i][k] + d[k][j]):
-                        tri.append((i, k, j))
+    n = len(d)
+    for i in range(n):
+        if not ctx.is_zero(d[i][i]):
+            diag.append(i)
+        for j in range(n):
+            if d[i][j] < -ctx.atol:
+                negd.append((i, j))
+            if i < j and not ctx.eq(d[i][j], d[j][i]):
+                sym.append((i, j))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not ctx.leq(d[i][j], d[i][k] + d[k][j]):
+                    tri.append((i, k, j))
     ok = (
         ctx.is_zero(defect)
         and not negative
@@ -159,8 +160,7 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
 
 def conditional_measure(space: ProbabilitySpace, cell: Mask, ctx: Context | None = None) -> Vector:
     """Weights conditioned on ``cell``: restricted, renormalized, zero outside."""
-    ctx = resolve_context(ctx, space.weights)
-    w = ctx.vector(space.weights)
+    ctx, w = read_arguments(ctx, (space.weights, "space.weights", 1))
     if len(cell) != len(w):
         raise ValidationError("cell mask length differs from the space size")
     total = mask_mass(w, cell)
@@ -175,8 +175,7 @@ def pushforward(
 ) -> Vector:
     """Image weights under a total point map into a space of ``target_size``."""
     mapping = as_tuple(mapping, "mapping")
-    ctx = resolve_context(ctx, space.weights)
-    w = ctx.vector(space.weights)
+    ctx, w = read_arguments(ctx, (space.weights, "space.weights", 1))
     if len(mapping) != len(w):
         raise ValidationError("map must be total: one target index per point")
     out = [ctx.number(0)] * target_size
@@ -198,7 +197,7 @@ def limsup_mass(
     (intersection over n of the unions past n) needs the infinite sequence
     and cannot be represented here.
     """
-    ctx = resolve_context(ctx, space.weights)
+    _, w = read_arguments(ctx, (space.weights, "space.weights", 1))
     if not 0 <= from_index < len(sets):
         raise IndexOutOfRange(f"from_index {from_index} outside 0..{len(sets) - 1}")
     for s in sets:
@@ -206,7 +205,7 @@ def limsup_mass(
             raise ValidationError("set mask length differs from the space size")
     tail = sets[from_index:]
     union = mask_union(*tail) if tail else empty_mask(space.size)
-    return mask_mass(ctx.vector(space.weights), union)
+    return mask_mass(w, union)
 
 
 def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
@@ -216,12 +215,11 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
     then closes under the triangle inequality (Floyd-Warshall).  Never
     applied silently by any other operation.
     """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    ctx, d = read_arguments(ctx, (matrix, "matrix", 2))
+    d = [list(r) for r in d]
+    n = len(d)
+    if any(len(r) != n for r in d):
         raise ValidationError("metric generator must be square")
-    ctx = resolve_context(ctx, tuple(tuple(r) for r in rows))
-    d = [[ctx.number(x) for x in r] for r in rows]
     for i in range(n):
         for j in range(n):
             if d[i][j] < 0:

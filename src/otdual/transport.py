@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
-from .numeric import Context, Number, as_tuple, fold_sum, from_lattice, resolve_context, to_lattice
+from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
 from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
@@ -62,29 +62,32 @@ class CouplingDefects:
 
 
 def coupling_defects(coupling: Coupling, ctx: Context | None = None) -> CouplingDefects:
-    ctx = resolve_context(ctx, coupling.matrix, coupling.mu, coupling.nu)
-    rows = coupling.row_sums()
-    cols = coupling.col_sums()
-    row_defect = max((abs(r - m) for r, m in zip(rows, coupling.mu)), default=0)
-    col_defect = max((abs(c - n) for c, n in zip(cols, coupling.nu)), default=0)
-    min_entry = min((x for row in coupling.matrix for x in row), default=0)
+    ctx, matrix, mu, nu = read_arguments(
+        ctx, (coupling.matrix, "coupling.matrix", 2), (coupling.mu, "coupling.mu", 1),
+        (coupling.nu, "coupling.nu", 1),
+    )
+    rows = tuple(fold_sum(row) for row in matrix)
+    cols = tuple(fold_sum(col) for col in zip(*matrix))
+    row_defect = max((abs(r - m) for r, m in zip(rows, mu)), default=0)
+    col_defect = max((abs(c - n) for c, n in zip(cols, nu)), default=0)
+    min_entry = min((x for row in matrix for x in row), default=0)
     total = fold_sum(rows)
     ok = (
         ctx.is_zero(row_defect)
         and ctx.is_zero(col_defect)
         and ctx.nonneg(min_entry)
         and ctx.eq(total, 1)
-        and len(rows) == len(coupling.mu)
-        and len(cols) == len(coupling.nu)
+        and len(rows) == len(mu)
+        and len(cols) == len(nu)
     )
     return CouplingDefects(ok, row_defect, col_defect, min_entry, total)
 
 
 def transport_value(coupling_or_matrix, values: Matrix) -> Number:
-    matrix = (
-        coupling_or_matrix.matrix
-        if isinstance(coupling_or_matrix, Coupling)
-        else coupling_or_matrix
+    if isinstance(coupling_or_matrix, Coupling):
+        coupling_or_matrix = coupling_or_matrix.matrix
+    _, matrix, values = read_arguments(
+        None, (coupling_or_matrix, "coupling_or_matrix", 2), (values, "values", 2)
     )
     if len(matrix) != len(values) or any(
         len(r) != len(v) for r, v in zip(matrix, values)
@@ -118,11 +121,9 @@ class ChainReport:
 # ---------------------------------------------------------------------------
 
 def _validated_inputs(c, mu, nu, ctx):
-    cost, mu, nu = as_cost(c), as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, cost.values, mu, nu)
-    values = ctx.matrix(cost.values, "cost")
-    mu = ctx.vector(mu, "mu")
-    nu = ctx.vector(nu, "nu")
+    ctx, values, mu, nu = read_arguments(
+        ctx, (as_cost(c).values, "cost", 2), (mu, "mu", 1), (nu, "nu", 1)
+    )
     m, n = len(mu), len(nu)
     if len(values) != m or any(len(row) != n for row in values):
         raise DimensionMismatch(

@@ -10,10 +10,11 @@ mode); both are reported so the agreement stays checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ValidationError
 from .lp import simplex_maximize
-from .numeric import Context, Number, as_rows, as_tuple, fold_sum, resolve_context
+from .numeric import RATIONAL, Context, Number, fold_sum, from_ratios, read_arguments
 from .spaces import Matrix, Vector
 from .transport import Coupling, solve_alpha
 
@@ -39,22 +40,21 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     so f is pinned to 0 at point 0 and shifted into the box
     0 <= f_i + d(i,0) <= 2 d(i,0), which makes the origin feasible for the
     slack-basis simplex (the right-hand sides are nonnegative exactly by
-    the triangle inequality).
+    the triangle inequality).  The LP is built from the entries read
+    exactly, a finite float as the dyadic rational it is, and solved in
+    rational arithmetic; float mode rounds the value and each f_i once.
     """
-    metric, mu, nu = as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, metric, mu, nu)
-    d = ctx.matrix(metric, "metric")
-    mu = ctx.vector(mu, "mu")
-    nu = ctx.vector(nu, "nu")
+    ctx, d, mu, nu = read_arguments(ctx, (metric, "metric", 2), (mu, "mu", 1), (nu, "nu", 1))
     n = len(mu)
     if len(nu) != n or len(d) != n or any(len(row) != n for row in d):
         raise ValidationError("metric and marginals must share one point set")
-    p = [a - b for a, b in zip(mu, nu)]
-    zero = ctx.number(0)
     if n == 1:
+        zero = ctx.number(0)
         return zero, (zero,)
+    zero, one = Fraction(0), Fraction(1)
+    d = [tuple(map(Fraction, row)) for row in d]
+    p = [Fraction(a) - Fraction(b) for a, b in zip(mu, nu)]
 
-    objective = [p[i] for i in range(1, n)]
     lhs = []
     rhs = []
     for i in range(1, n):
@@ -62,25 +62,24 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
             if i == j:
                 continue
             row = [zero] * (n - 1)
-            row[i - 1] = ctx.number(1)
-            row[j - 1] = ctx.number(-1)
+            row[i - 1] = one
+            row[j - 1] = -one
             lhs.append(row)
-            bound = d[i][j] + d[i][0] - d[j][0]
-            rhs.append(bound if bound > 0 else zero)
+            rhs.append(max(d[i][j] + d[i][0] - d[j][0], zero))
     for i in range(1, n):
         row = [zero] * (n - 1)
-        row[i - 1] = ctx.number(1)
+        row[i - 1] = one
         lhs.append(row)
         rhs.append(2 * d[i][0])
-    _, g = simplex_maximize(objective, lhs, rhs, ctx)
+    _, g = simplex_maximize(p[1:], lhs, rhs, RATIONAL)
     f = (zero,) + tuple(g[i - 1] - d[i][0] for i in range(1, n))
     value = fold_sum(pi * fi for pi, fi in zip(p, f))
-    return value, f
+    value, *f = from_ratios((x.as_integer_ratio() for x in (value, *f)), ctx.mode)
+    return value, tuple(f)
 
 
 def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> WassersteinReport:
-    metric, mu, nu = as_rows(metric, "metric"), as_tuple(mu, "mu"), as_tuple(nu, "nu")
-    ctx = resolve_context(ctx, metric, mu, nu)
+    ctx, metric, mu, nu = read_arguments(ctx, (metric, "metric", 2), (mu, "mu", 1), (nu, "nu", 1))
     primal = solve_alpha(metric, mu, nu, ctx)
     dual_value, witness = lipschitz_dual(metric, mu, nu, ctx)
     return WassersteinReport(
@@ -94,9 +93,7 @@ def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> Wasserst
 
 def lipschitz_violations(metric: Matrix, f, ctx: Context | None = None) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) where |f_i - f_j| exceeds d(i, j)."""
-    metric, f = as_rows(metric, "metric"), as_tuple(f, "f")
-    ctx = resolve_context(ctx, metric, f)
-    d, f = ctx.matrix(metric, "metric"), ctx.vector(f, "f")
+    ctx, d, f = read_arguments(ctx, (metric, "metric", 2), (f, "f", 1))
     bad = []
     for i in range(len(f)):
         for j in range(len(f)):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 from fractions import Fraction as F
@@ -264,7 +265,9 @@ def test_library_rejects_an_unknown_mode():
 
 
 HALF = (F(1, 2), F(1, 2))
+THIRDS = (F(1, 3), F(2, 3))
 SWAP = ((0, 1), (1, 0))
+COST = ((0, 1), (2, 0))
 LIBRARY_SOLVERS = (
     ot.solve_alpha, ot.solve_alpha_star, ot.solve_beta, ot.solve_beta_star, ot.check_chain,
 )
@@ -294,69 +297,230 @@ def test_library_solvers_name_a_bad_container(solver, args, named):
         solver(*args)
 
 
+FAMILY = ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),))
+ZEROS = ot.PotentialPair(f=(0, 0), g=(0, 0), side="lower")
+
+
+def with_bad(bad):
+    """SWAP with its entry [0][1] replaced by ``bad``."""
+    return ((0, bad), (1, 0))
+
+
+def coarse_plan():
+    return ot.CoarseCoupling(
+        partition=ot.singleton_partition(2), matrix=((F(1, 2), 0), (0, F(1, 2))), nu=HALF
+    )
+
+
+def one_stage(base):
+    return ot.ApproximantSequence(base_cost=base, stages=((1, COST),))
+
+
+# Each entry, called with one bad number, and the name the error gives it.
+# The entries without a ctx parameter infer their mode from the arguments.
+BAD_NUMBER_CALLS = {
+    "oracle_enumerate": (
+        lambda bad, ctx: ot.oracle_enumerate(with_bad(bad), HALF, HALF, "alpha", ctx=ctx),
+        "cost[0][1]",
+    ),
+    "min_cover": (lambda bad, ctx: ot.min_cover(FAMILY, (bad, F(1, 2)), HALF, ctx), "mu[0]"),
+    "wasserstein1": (
+        lambda bad, ctx: ot.wasserstein1(((0, bad), (bad, 0)), HALF, HALF, ctx), "metric[0][1]"
+    ),
+    "lipschitz_modulus": (
+        lambda bad, ctx: ot.lipschitz_modulus(with_bad(bad), SWAP, ctx), "cost[0][1]"
+    ),
+    "oscillation": (
+        lambda bad, ctx: ot.oscillation(
+            with_bad(bad), ot.Partition(cells=((True, True),), representatives=(0,)), ctx
+        ),
+        "cost[0][1]",
+    ),
+    "lipschitz_violations": (
+        lambda bad, ctx: lipschitz_violations(((0, bad), (bad, 0)), (0, 2), ctx), "metric[0][1]"
+    ),
+    "potential_defect": (
+        lambda bad, ctx: ot.potential_defect(
+            ot.PotentialPair(f=(0, bad), g=(0, 0), side="lower"), SWAP, ctx
+        ),
+        "pair.f[1]",
+    ),
+    "PotentialPair.dual_value": (
+        lambda bad, ctx: ot.PotentialPair(f=(0, 0), g=(bad, 0), side="lower").dual_value(
+            HALF, HALF
+        ),
+        "g[0]",
+    ),
+    "CostMatrix": (
+        lambda bad, ctx: ot.CostMatrix(
+            values=with_bad(bad), lower_potential=ot.PotentialPair(f=(0, 0), g=(0, 0), side="lower")
+        ),
+        "values[0][1]",
+    ),
+    "row_min_potential": (lambda bad, ctx: ot.row_min_potential(SWAP, (0, bad)), "g[1]"),
+    "mask_mass": (lambda bad, ctx: ot.mask_mass((F(1, 2), bad), (True, True)), "weights[1]"),
+    "transport_value": (
+        lambda bad, ctx: ot.transport_value(with_bad(bad), SWAP), "coupling_or_matrix[0][1]"
+    ),
+    "coupling_defects": (
+        lambda bad, ctx: ot.coupling_defects(
+            ot.Coupling(matrix=((F(1, 2), 0), (0, F(1, 2))), mu=(bad, F(1, 2)), nu=HALF), ctx
+        ),
+        "coupling.mu[0]",
+    ),
+    "metric_repair": (lambda bad, ctx: ot.metric_repair(with_bad(bad), ctx), "matrix[0][1]"),
+    "beta_star_limit_check": (
+        lambda bad, ctx: ot.beta_star_limit_check(one_stage(with_bad(bad)), HALF, HALF, ctx),
+        "sequence.base_cost[0][1]",
+    ),
+    "normalize_cost": (lambda bad, ctx: ot.normalize_cost(with_bad(bad), ZEROS, ctx), "cost[0][1]"),
+    "lipschitz_infconv": (
+        lambda bad, ctx: ot.lipschitz_infconv(
+            COST, 1, ot.make_space(HALF, ((0, bad), (bad, 0))), ctx=ctx
+        ),
+        "space_x.metric[0][1]",
+    ),
+    "oscillation_partition": (
+        lambda bad, ctx: ot.oscillation_partition(SWAP, bad, ot.make_space(HALF, SWAP), 1, ctx),
+        "eps",
+    ),
+    "validate_space": (
+        lambda bad, ctx: ot.validate_space(ot.make_space((bad, F(1, 2)), SWAP), ctx),
+        "space.weights[0]",
+    ),
+    "conditional_measure": (
+        lambda bad, ctx: ot.conditional_measure(ot.make_space((bad, F(1, 2))), (True, True), ctx),
+        "space.weights[0]",
+    ),
+    "limsup_mass": (
+        lambda bad, ctx: ot.limsup_mass(ot.make_space((bad, F(1, 2))), ((True, False),), 0, ctx),
+        "space.weights[0]",
+    ),
+    "pushforward": (
+        lambda bad, ctx: ot.pushforward(ot.make_space((bad, F(1, 2))), (0, 1), 2, ctx),
+        "space.weights[0]",
+    ),
+    "monge_coupling": (
+        lambda bad, ctx: ot.monge_coupling(ot.make_space(HALF), (1, 0), (bad, F(1, 2)), ctx),
+        "nu[0]",
+    ),
+    "product_coupling": (lambda bad, ctx: ot.product_coupling((bad, F(1, 2)), HALF, ctx), "mu[0]"),
+    "diagonal_coupling": (lambda bad, ctx: ot.diagonal_coupling((bad, F(1, 2)), ctx=ctx), "space[0]"),
+    "extend_coupling": (lambda bad, ctx: ot.extend_coupling(coarse_plan(), (bad, F(1, 2)), ctx), "mu[0]"),
+    "transport_polytope_vertices": (
+        lambda bad, ctx: ot.transport_polytope_vertices((bad, F(1, 2)), HALF, ctx=ctx), "mu[0]"
+    ),
+    "truncation_duality": (
+        lambda bad, ctx: ot.truncation_duality(FAMILY, HALF, HALF, 0, bad, ctx), "eps"
+    ),
+    "arveson_witness": (
+        lambda bad, ctx: ot.arveson_witness(FAMILY, HALF, (F(1, 2), bad), ctx), "nu[1]"
+    ),
+    "lipschitz_dual": (
+        lambda bad, ctx: ot.lipschitz_dual(SWAP, (bad, F(1, 2)), HALF, ctx), "mu[0]"
+    ),
+    "shifted_infconv": (
+        lambda bad, ctx: ot.shifted_infconv(COST, 1, ot.make_space(HALF, SWAP), (0, bad), ctx),
+        "f[1]",
+    ),
+    "partition_discretize": (
+        lambda bad, ctx: ot.partition_discretize(with_bad(bad), ot.singleton_partition(2), ctx),
+        "cost[0][1]",
+    ),
+    "infconv_sequence": (
+        lambda bad, ctx: ot.infconv_sequence(COST, ot.make_space(HALF, SWAP), (1, bad), ctx=ctx),
+        "n",
+    ),
+    "parse_instance": (
+        lambda bad, ctx: parse_instance(
+            dict(minimal_doc(), cost={"matrix": [[bad]]}), mode_override=ctx.mode
+        ),
+        "cost.matrix[0][0]",
+    ),
+}
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
-@pytest.mark.parametrize("call", [
-    lambda bad, ctx: ot.oracle_enumerate(((0, bad), (1, 0)), HALF, HALF, "alpha", ctx=ctx),
-    lambda bad, ctx: ot.min_cover(
-        ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),)), (bad, F(1, 2)), HALF, ctx
-    ),
-    lambda bad, ctx: ot.wasserstein1(((0, bad), (bad, 0)), HALF, HALF, ctx),
-    lambda bad, ctx: ot.lipschitz_modulus(((0, bad), (1, 0)), SWAP, ctx),
-    lambda bad, ctx: ot.oscillation(
-        ((0, bad), (1, 0)), ot.Partition(cells=((True, True),), representatives=(0,)), ctx
-    ),
-    lambda bad, ctx: lipschitz_violations(((0, bad), (bad, 0)), (0, 2), ctx),
-], ids=[
-    "oracle_enumerate", "min_cover", "wasserstein1", "lipschitz_modulus", "oscillation",
-    "lipschitz_violations",
-])
-def test_library_entries_reject_a_bad_number(call, bad, mode):
-    with pytest.raises(DualityError):
+@pytest.mark.parametrize("call, named", BAD_NUMBER_CALLS.values(), ids=BAD_NUMBER_CALLS.keys())
+def test_library_entries_reject_a_bad_number(call, named, bad, mode):
+    with pytest.raises(ParseError, match=re.escape(named)):
         call(bad, ot.Context(mode))
 
 
-FAMILY = ot.RectangleFamily(nx=2, ny=2, rects=(((1, 0), (1, 0)),))
+# Each entry, called with an argument that is not a sequence.
+BAD_CONTAINER_CALLS = {
+    "min_cover": (lambda: ot.min_cover(FAMILY, 5, HALF), "mu"),
+    "arveson_witness": (lambda: ot.arveson_witness(FAMILY, HALF, None), "nu"),
+    "truncation_duality": (lambda: ot.truncation_duality(FAMILY, 5, HALF, 0, F(1, 10)), "mu"),
+    "wasserstein1": (lambda: ot.wasserstein1(SWAP, 5, HALF), "mu"),
+    "lipschitz_dual": (lambda: ot.lipschitz_dual(None, HALF, HALF), "metric"),
+    "lipschitz_modulus": (lambda: ot.lipschitz_modulus(SWAP, None), "metric"),
+    "product_coupling": (lambda: ot.product_coupling(5, HALF), "mu"),
+    "transport_polytope_vertices": (lambda: ot.transport_polytope_vertices(5, HALF), "mu"),
+    "simplex_maximize": (lambda: simplex_maximize((1,), ((1,),), None), "rhs"),
+    "diagonal_coupling": (lambda: ot.diagonal_coupling(None), "space"),
+    "transport_value": (lambda: ot.transport_value(None, SWAP), "coupling_or_matrix"),
+    "metric_repair": (lambda: ot.metric_repair(None), "matrix"),
+    "potential_defect": (lambda: ot.potential_defect(ZEROS, None), "values"),
+    "PotentialPair.dual_value": (lambda: ZEROS.dual_value(None, HALF), "mu"),
+    "mask_mass": (lambda: ot.mask_mass(None, (True,)), "weights"),
+    "row_min_potential": (lambda: ot.row_min_potential(SWAP, 5), "g"),
+    "normalize_cost": (lambda: ot.normalize_cost(None, ZEROS), "cost"),
+    "lipschitz_infconv": (lambda: ot.lipschitz_infconv(None, 1, ot.make_space(HALF, SWAP)), "cost"),
+    "beta_star_limit_check": (lambda: ot.beta_star_limit_check(one_stage(COST), None, HALF), "mu"),
+    "extend_coupling": (lambda: ot.extend_coupling(coarse_plan(), None), "mu"),
+    "monge_coupling": (lambda: ot.monge_coupling(ot.make_space(HALF), (1, 0), None), "nu"),
+}
 
 
-@pytest.mark.parametrize("call, named", [
-    (lambda: ot.min_cover(FAMILY, 5, HALF), "mu"),
-    (lambda: ot.arveson_witness(FAMILY, HALF, None), "nu"),
-    (lambda: ot.truncation_duality(FAMILY, 5, HALF, 0, F(1, 10)), "mu"),
-    (lambda: ot.wasserstein1(SWAP, 5, HALF), "mu"),
-    (lambda: ot.lipschitz_dual(None, HALF, HALF), "metric"),
-    (lambda: ot.lipschitz_modulus(SWAP, None), "metric"),
-    (lambda: ot.product_coupling(5, HALF), "mu"),
-    (lambda: ot.transport_polytope_vertices(5, HALF), "mu"),
-    (lambda: simplex_maximize((1,), ((1,),), None), "rhs"),
-    (lambda: ot.diagonal_coupling(None), "space"),
-], ids=[
-    "min_cover", "arveson_witness", "truncation_duality", "wasserstein1", "lipschitz_dual",
-    "lipschitz_modulus", "product_coupling", "transport_polytope_vertices", "simplex_maximize",
-    "diagonal_coupling",
-])
+@pytest.mark.parametrize("call, named", BAD_CONTAINER_CALLS.values(), ids=BAD_CONTAINER_CALLS.keys())
 def test_library_entries_name_a_bad_container(call, named):
     with pytest.raises(ParseError, match=f"^{named} is not a sequence"):
         call()
 
 
-# Distances of 1e308 make the Lipschitz LP's right-hand sides overflow.
-FAR = ((0, 1e308, 1e308), (1e308, 0, 1e308), (1e308, 1e308, 0))
+# Exported functions that read no number from their caller: they take
+# sizes, indices, masks or paths, build objects whose numbers a later entry
+# reads, or write numbers the package made.
+NO_NUMBERS = {
+    "as_cost", "covers", "format_number", "generate_instance", "indicator_cost",
+    "instance_to_jsonable", "load_instance", "make_space", "mask_from_indices", "mask_indices",
+    "mask_union", "save_instance", "singleton_partition",
+}
+
+
+def test_every_exported_function_is_checked_at_the_library_boundary():
+    exported = {
+        name for name, obj in vars(ot).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+    }
+    checked = (
+        set(BAD_NUMBER_CALLS) | set(BAD_CONTAINER_CALLS) | NO_NUMBERS
+        | {solver.__name__ for solver in LIBRARY_SOLVERS}
+    )
+    assert not exported - checked, sorted(exported - checked)
 
 
 @pytest.mark.parametrize("call, named", [
     (lambda: simplex_maximize((1, "x"), ((1, 1),), (1,)), "objective[1]"),
     (lambda: simplex_maximize((1,), ((1,), (None,)), (1, 1)), "lhs[1][0]"),
     (lambda: simplex_maximize((1,), ((1,),), (float("inf"),)), "rhs[0]"),
-    (lambda: ot.wasserstein1(FAR, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5)), "rhs[0]"),
-], ids=["objective", "lhs", "rhs", "wasserstein1"])
+], ids=["objective", "lhs", "rhs"])
 def test_simplex_maximize_names_a_bad_entry(call, named):
     with pytest.raises(ParseError, match=re.escape(named)):
         call()
 
 
-THIRDS = (F(1, 3), F(2, 3))
-COST = ((0, 1), (2, 0))
+# Distances of 1e308: the Lipschitz LP's right-hand sides d(i,j) + d(i,0)
+# - d(j,0) and 2 d(i,0) lie beyond the float range, but only as exact values.
+FAR = ((0, 1e308, 1e308), (1e308, 0, 1e308), (1e308, 1e308, 0))
+
+
+def test_float_wasserstein1_solves_distances_near_the_float_range():
+    report = ot.wasserstein1(FAR, (0.5, 0.25, 0.25), (0.25, 0.25, 0.5))
+    assert report.primal_value == report.dual_value == 2.5e307
+    assert not lipschitz_violations(FAR, report.lipschitz_witness)
 
 
 def one_shot(values):

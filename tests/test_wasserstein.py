@@ -73,13 +73,13 @@ GOLDEN_WITNESSES = {
     ("rational", 10): "ef340a579d1f015c973b1ee7d4c6a1b7bd0ac8553c205b10e7f044b3a071e0d9",
     ("rational", 11): "ec76b0616db7acb71648ef6c1ac17f41a531d7e21d940b2230aa081f53734aeb",
     ("rational", 12): "ed0595a7e08a8ef570a8370c0bd58af8d811cdfc9646d085061abcfc009353f7",
-    ("float", 5): "d9d71521952667c9f3bd97612cbe36f26ed91a7fc39772b0bb8c04bf4e4f89fb",
+    ("float", 5): "02ce03c2580444766230ca8889ee11502f74a10f2458e14db0dee0c481027173",
     ("float", 6): "3c309f4f78e4ac565582cb40931a6de4d23b101fca27d7b27d25d8a5f80acd44",
-    ("float", 7): "eced80b51a550df60cf01217ea1f1db33d038ca5605cf265325062e674a9c823",
-    ("float", 8): "598c094b55cf3029154ac85bcf499785cc10ba0b93ecc18af40cf554ff06ba6d",
-    ("float", 9): "fb4c07ec64d95f24267b2a6a1bd3cf632be3f3b89554f5172fb03f6d24417e76",
+    ("float", 7): "6991b83f43312f0221c079625441198fe328a5e8c8f1fb5450b6e1ae3c3f32fb",
+    ("float", 8): "40526c5fcfe82c490e921295d599e48410bef62f1553a8136027d01d7564d11b",
+    ("float", 9): "2c4f9d395bfd580b7bb75111d49588e8892dca407ba48f6789bb50d95f43ff73",
     ("float", 10): "e5990b21443fff446f74c22d83be61cce4677c11537f8028e1b33951ca38d2a8",
-    ("float", 11): "b6fd7bad2e5f4e82f0bb7193f5be14a394f4a1fd286dc0ec81bd1f227a506eaa",
+    ("float", 11): "286102a237cb962d37e6477defdc2da3d310f5cfc9273c1e10ba95014e4a7581",
     ("float", 12): "d0682298cf05c8b9b5b98fab8b58aa48018634bfe9db776b83c22d3ccff0ccc1",
 }
 
