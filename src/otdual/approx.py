@@ -14,7 +14,7 @@ from .errors import (
     NotMonotone,
     ValidationError,
 )
-from .numeric import Context, Number, read_arguments
+from .numeric import Context, Number, as_tuple, read_arguments
 from .spaces import (
     Mask,
     Matrix,
@@ -268,7 +268,15 @@ def infconv_sequence(
     anchor_set: Mask | None = None,
     ctx: Context | None = None,
 ) -> ApproximantSequence:
+    """The stages lipschitz_infconv(c, n) for each n of ``n_values``, all
+    read in one arithmetic mode: ``ctx``, or the mode inferred from
+    ``n_values``, the cost and the metric together."""
     base = as_cost(c)
+    # Each n is named as lipschitz_infconv names it.
+    ctx, _, _, *n_values = read_arguments(
+        ctx, (base.values, "cost", 2), (space_x.metric or (), "space_x.metric", 2),
+        *((n, "n", 0) for n in as_tuple(n_values, "n_values")),
+    )
     stages = tuple(
         (n, lipschitz_infconv(base, n, space_x, anchor_set=anchor_set, ctx=ctx))
         for n in n_values

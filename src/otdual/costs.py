@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, as_rows, fold_sum, read_arguments
+from .numeric import Context, Number, as_rows, as_tuple, fold_sum, read_arguments
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -26,8 +26,8 @@ class PotentialPair:
     side: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "g", tuple(self.g))
+        object.__setattr__(self, "f", as_tuple(self.f, "f"))
+        object.__setattr__(self, "g", as_tuple(self.g, "g"))
         if self.side not in (LOWER, UPPER):
             raise ValidationError(f"side must be 'lower' or 'upper', got {self.side!r}")
 
@@ -69,7 +69,7 @@ class CostMatrix:
     upper_potential: PotentialPair | None = None
 
     def __post_init__(self) -> None:
-        values = tuple(tuple(row) for row in self.values)
+        values = as_rows(self.values, "values")
         object.__setattr__(self, "values", values)
         if values and any(len(row) != len(values[0]) for row in values):
             raise ValidationError("cost matrix rows have unequal lengths")

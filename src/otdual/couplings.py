@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch, ValidationError
-from .numeric import Context, as_tuple, fold_sum, read_arguments
+from .numeric import Context, as_rows, as_tuple, fold_sum, read_arguments
 from .spaces import Matrix, Partition, ProbabilitySpace, Vector, mask_indices, pushforward
 from .transport import Coupling
 
@@ -24,8 +24,8 @@ class CoarseCoupling:
     nu: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
-        object.__setattr__(self, "nu", tuple(self.nu))
+        object.__setattr__(self, "matrix", as_rows(self.matrix, "matrix"))
+        object.__setattr__(self, "nu", as_tuple(self.nu, "nu"))
         if len(self.matrix) != len(self.partition.cells):
             raise ValidationError("one coarse row per partition cell is required")
         if any(len(row) != len(self.nu) for row in self.matrix):

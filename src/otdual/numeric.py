@@ -113,7 +113,14 @@ def as_tuple(values, where: str) -> tuple:
 
 def as_rows(rows, where: str) -> tuple[tuple, ...]:
     """``rows`` as a tuple of tuples; ``ParseError`` naming ``where`` or a row."""
-    return tuple(as_tuple(row, f"{where}[{i}]") for i, row in enumerate(as_tuple(rows, where)))
+    rows = as_tuple(rows, where)
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        # Label only on failure, as the readers below do.
+        for i, row in enumerate(rows):
+            as_tuple(row, f"{where}[{i}]")
+        raise
 
 
 def resolve_context(ctx: Context | None, *objects) -> Context:

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
-from .numeric import Context, Number, as_tuple, fold_sum, read_arguments
+from .numeric import (
+    Context, Number, as_rows, as_tuple, fold_sum, from_lattice, read_arguments, to_lattice,
+)
 
 Mask = tuple[bool, ...]
 Vector = tuple[Number, ...]
@@ -68,12 +70,10 @@ class ProbabilitySpace:
     metric: Matrix | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "points", as_tuple(self.points, "points"))
+        object.__setattr__(self, "weights", as_tuple(self.weights, "weights"))
         if self.metric is not None:
-            object.__setattr__(
-                self, "metric", tuple(tuple(row) for row in self.metric)
-            )
+            object.__setattr__(self, "metric", as_rows(self.metric, "metric"))
         if len(self.weights) != len(self.points):
             raise ValidationError(
                 f"{len(self.points)} points but {len(self.weights)} weights"
@@ -89,10 +89,10 @@ class ProbabilitySpace:
 
 
 def make_space(weights, metric=None, points=None, prefix: str = "x") -> ProbabilitySpace:
-    weights = tuple(weights)
+    weights = as_tuple(weights, "weights")
     if points is None:
         points = tuple(f"{prefix}{i}" for i in range(len(weights)))
-    return ProbabilitySpace(points=tuple(points), weights=weights, metric=metric)
+    return ProbabilitySpace(points=points, weights=weights, metric=metric)
 
 
 @dataclass(frozen=True)
@@ -212,20 +212,23 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
     """Shortest-path closure of a nonnegative symmetric generator matrix.
 
     Symmetrizes by the smaller of the two directions, zeroes the diagonal,
-    then closes under the triangle inequality (Floyd-Warshall).  Never
-    applied silently by any other operation.
+    then closes under the triangle inequality (Floyd-Warshall).  The entries
+    are read exactly onto one integer lattice and closed there, so in float
+    mode each distance is the exact shortest path of the given floats,
+    rounded once.  Never applied silently by any other operation.
     """
     ctx, d = read_arguments(ctx, (matrix, "matrix", 2))
-    d = [list(r) for r in d]
     n = len(d)
     if any(len(r) != n for r in d):
         raise ValidationError("metric generator must be square")
+    scale, d = to_lattice(*d)
+    d = [list(r) for r in d]
     for i in range(n):
         for j in range(n):
             if d[i][j] < 0:
                 raise ValidationError(f"negative generator entry at ({i}, {j})")
     for i in range(n):
-        d[i][i] = ctx.number(0)
+        d[i][i] = 0
         for j in range(i + 1, n):
             m = min(d[i][j], d[j][i])
             d[i][j] = m
@@ -239,7 +242,7 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
                 alt = dik + dk[j]
                 if alt < row[j]:
                     row[j] = alt
-    return tuple(tuple(r) for r in d)
+    return tuple(from_lattice(r, scale, ctx.mode) for r in d)
 
 
 # ---------------------------------------------------------------------------

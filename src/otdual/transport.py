@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
-from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
+from .numeric import (
+    Context, Number, as_rows, as_tuple, fold_sum, from_lattice, read_arguments, to_lattice,
+)
 from .spaces import Matrix, Vector
 
 ALPHA = "alpha"
@@ -41,9 +43,9 @@ class Coupling:
     nu: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
-        object.__setattr__(self, "mu", tuple(self.mu))
-        object.__setattr__(self, "nu", tuple(self.nu))
+        object.__setattr__(self, "matrix", as_rows(self.matrix, "matrix"))
+        object.__setattr__(self, "mu", as_tuple(self.mu, "mu"))
+        object.__setattr__(self, "nu", as_tuple(self.nu, "nu"))
 
     def row_sums(self) -> Vector:
         return tuple(fold_sum(row) for row in self.matrix)

@@ -471,6 +471,16 @@ BAD_CONTAINER_CALLS = {
     "beta_star_limit_check": (lambda: ot.beta_star_limit_check(one_stage(COST), None, HALF), "mu"),
     "extend_coupling": (lambda: ot.extend_coupling(coarse_plan(), None), "mu"),
     "monge_coupling": (lambda: ot.monge_coupling(ot.make_space(HALF), (1, 0), None), "nu"),
+    "infconv_sequence": (
+        lambda: ot.infconv_sequence(COST, ot.make_space(HALF, SWAP), None), "n_values"
+    ),
+    "PotentialPair": (lambda: ot.PotentialPair(f=None, g=(0,), side="lower"), "f"),
+    "make_space": (lambda: ot.make_space(None), "weights"),
+    "Coupling": (lambda: ot.Coupling(matrix=5, mu=(1,), nu=(1,)), "matrix"),
+    "CostMatrix": (lambda: ot.CostMatrix(values=5), "values"),
+    "CoarseCoupling": (
+        lambda: ot.CoarseCoupling(partition=ot.singleton_partition(2), matrix=5, nu=HALF), "matrix"
+    ),
 }
 
 
@@ -563,14 +573,23 @@ def tuple_rows(rows):
         vec(HALF),
     ),
     lambda vec, mat: simplex_maximize(vec((1, 1)), mat(((1, 2), (3, 1))), vec((4, 5))),
+    lambda vec, mat: ot.infconv_sequence(COST, ot.make_space(HALF, SWAP), vec((1, 2))),
 ], ids=[
     "solve_alpha", "product_coupling", "monge_coupling", "pushforward", "extend_coupling",
     "transport_polytope_vertices", "min_cover", "arveson_witness", "truncation_duality",
     "wasserstein1", "lipschitz_dual", "lipschitz_violations", "shifted_infconv",
-    "lipschitz_modulus", "beta_star_limit_check", "simplex_maximize",
+    "lipschitz_modulus", "beta_star_limit_check", "simplex_maximize", "infconv_sequence",
 ])
 def test_library_entries_read_generators_like_tuples(call):
     assert call(one_shot, one_shot_rows) == call(tuple, tuple_rows)
+
+
+def test_infconv_sequence_reads_every_stage_in_one_mode():
+    # The float stage parameter selects float mode for the rational cost too.
+    space = ot.make_space(HALF, SWAP)
+    sequence = ot.infconv_sequence(COST, space, (1, 0.5))
+    assert sequence == ot.infconv_sequence(COST, space, (1, 0.5), ctx=ot.Context("float"))
+    assert {type(x) for _, stage in sequence.stages for row in stage.values for x in row} == {float}
 
 
 def test_float_overflow_exits_2_without_non_finite_json(tmp_path, capsys):
@@ -776,6 +795,16 @@ def test_instance_jsonable_matches_schema(tmp_path):
 # A deliberate change to a report updates these literals, with a note in
 # CHANGES.md saying why.
 GOLDEN_INSTANCES = {"4x4": 0, "9x3": 1}
+# sha256 of the files `otdual gen --seed 0` writes: tall metrics like the
+# benchmark's and a square instance, in both modes.
+GOLDEN_GEN = {
+    ("24x4", "rational"): "ebc1c5fed810532bfa50f6672eb23e32c393d3baec71abc34d0fda25b068673b",
+    ("24x4", "float"): "25d03309e2136903c8603b16e8452105cea7525d3c5f17970a88a57ecc454c98",
+    ("32x4", "rational"): "5a76bf170077975de89df49ea4e27ff8fd32538340b499f1f6aa8d4601e8034c",
+    ("32x4", "float"): "a49d7cb60234bfdab3c15339223f1bab5791f8ccda0eb1af4ef9ddf837401ed5",
+    ("12x12", "rational"): "b0042de0a9360c95f1dfc65bbe6be581b3479caa1c9f6858dc2b61de3f75ae46",
+    ("12x12", "float"): "4cd7aa2d51227308c2f6ad62a8041d32462b0195b8a4362e1e290d89df5d460c",
+}
 GOLDEN = {
     ("4x4", "rational", "solve"):
         (0, "", "0b2c3c206727460c290ab2a377a838e4cd3a52835c1595519b1671199cf9097d"),
@@ -858,6 +887,17 @@ GOLDEN = {
     ("9x3", "float", "oracle-check"):
         (2, "error: 9x3 = 27 cells exceeds the cap of 16\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
+
+
+def test_generated_instances_match_their_golden_digests(tmp_path):
+    mismatches = []
+    for (size, mode), expected in GOLDEN_GEN.items():
+        path = tmp_path / f"{size}-{mode}.json"
+        assert run(["gen", "--seed", "0", "--size", size, "--mode", mode, "-o", str(path)]) == 0
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        if got != expected:
+            mismatches.append(f"{size} {mode}: got {got}")
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_reports_match_their_golden_digests(tmp_path, capsys):
