@@ -14,7 +14,7 @@ from .errors import (
     NotMonotone,
     ValidationError,
 )
-from .numeric import Context, Number, as_tuple, read_arguments
+from .numeric import Context, Number, as_tuple, read_arguments, take_arguments
 from .spaces import (
     Mask,
     Matrix,
@@ -43,13 +43,12 @@ def lipschitz_infconv(
     if space_x.metric is None:
         raise ValidationError("infimal convolution needs a metric on X")
     ctx, n, values, d = read_arguments(
-        ctx, (n, "n", 0), (as_cost(c).values, "cost", 2), (space_x.metric, "space_x.metric", 2)
+        ctx, (n, "n", ()), (as_cost(c).values, "cost", ("x", "y")),
+        (space_x.metric, "space_x.metric", ("x", "x")),
     )
     if n <= 0:
         raise ValidationError("the Lipschitz parameter must be positive")
     m = len(values)
-    if m != space_x.size:
-        raise ValidationError("cost row count differs from the X point count")
     anchors = range(m) if anchor_set is None else mask_indices(anchor_set)
     anchors = tuple(anchors)
     if not anchors:
@@ -77,8 +76,8 @@ def shifted_infconv(
     # n and the metric are read by lipschitz_infconv; they are passed here
     # too so that the inferred mode counts every argument.
     ctx, values, f, _, _ = read_arguments(
-        ctx, (as_cost(c).values, "cost", 2), (f, "f", 1), (n, "n", 0),
-        (space_x.metric, "space_x.metric", 2),
+        ctx, (as_cost(c).values, "cost", ("x", "y")), (f, "f", ("x",)), (n, "n", ()),
+        (space_x.metric, "space_x.metric", ("x", "x")),
     )
     shifted = tuple(tuple(x - fz for x in row) for row, fz in zip(values, f))
     return lipschitz_infconv(shifted, n, space_x, ctx=ctx)
@@ -89,15 +88,13 @@ def row_min_potential(c, g=None) -> Vector:
     values = as_cost(c).values
     if g is None:
         g = (0,) * (len(values[0]) if values else 0)
-    _, values, g = read_arguments(None, (values, "cost", 2), (g, "g", 1))
+    _, values, g = read_arguments(None, (values, "cost", ("m", "n")), (g, "g", ("n",)))
     return tuple(min(x - gy for x, gy in zip(row, g)) for row in values)
 
 
 def partition_discretize(c, partition: Partition, ctx: Context | None = None) -> CostMatrix:
     """Replace each row by its cell representative's row; the null cell keeps c."""
-    _, values = read_arguments(ctx, (as_cost(c).values, "cost", 2))
-    if len(values) != partition.size:
-        raise ValidationError("cost row count differs from the partition size")
+    _, values = read_arguments(ctx, (as_cost(c).values, "cost", (partition.size, "n")))
     rows = list(values)
     for k in partition.non_null_cells():
         members = mask_indices(partition.cells[k])
@@ -121,9 +118,7 @@ def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Nu
 
     The null cell's entry is None: its oscillation is never constrained.
     """
-    ctx, values = read_arguments(ctx, (as_cost(c).values, "cost", 2))
-    if len(values) != partition.size:
-        raise ValidationError("cost row count differs from the partition size")
+    ctx, values = read_arguments(ctx, (as_cost(c).values, "cost", (partition.size, "n")))
     out: list[Number | None] = []
     for k, cell in enumerate(partition.cells):
         if k == partition.null_cell_index:
@@ -157,14 +152,12 @@ def oscillation_partition(
     if space_x.metric is None:
         raise ValidationError("partitioning needs a metric on X")
     ctx, eps, u, values, d = read_arguments(
-        ctx, (eps, "eps", 0), (lipschitz_bound, "lipschitz_bound", 0),
-        (as_cost(c).values, "cost", 2), (space_x.metric, "space_x.metric", 2),
+        ctx, (eps, "eps", ()), (lipschitz_bound, "lipschitz_bound", ()),
+        (as_cost(c).values, "cost", ("x", "y")), (space_x.metric, "space_x.metric", ("x", "x")),
     )
     if eps <= 0 or u <= 0:
         raise ValidationError("eps and the Lipschitz bound must be positive")
     m = len(values)
-    if m != space_x.size:
-        raise ValidationError("cost row count differs from the X point count")
     for x in range(m):
         for z in range(x + 1, m):
             spread = _row_spread(values[x], values[z])
@@ -202,7 +195,8 @@ def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> CostM
     if lower.side != "lower":
         raise InfeasibleWitness("normalization needs a lower-side pair")
     ctx, values, f, g = read_arguments(
-        ctx, (as_cost(c).values, "cost", 2), (lower.f, "lower.f", 1), (lower.g, "lower.g", 1)
+        ctx, (as_cost(c).values, "cost", ("m", "n")), (lower.f, "lower.f", ("m",)),
+        (lower.g, "lower.g", ("n",)),
     )
     defect = potential_defect(lower, values, ctx)
     if not ctx.leq(defect, 0):
@@ -224,7 +218,7 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
     Returns None when no finite u works (distinct rows at distance 0).
     """
     ctx, values, metric = read_arguments(
-        ctx, (as_cost(c).values, "cost", 2), (metric, "metric", 2)
+        ctx, (as_cost(c).values, "cost", ("x", "y")), (metric, "metric", ("x", "x"))
     )
     worst = ctx.number(0)
     for x in range(len(values)):
@@ -249,16 +243,15 @@ class ApproximantSequence:
     stages: tuple[tuple[Number, CostMatrix], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_cost", as_cost(self.base_cost))
-        object.__setattr__(
-            self,
-            "stages",
-            tuple((param, as_cost(stage)) for param, stage in self.stages),
+        base = as_cost(self.base_cost)
+        (stages,) = take_arguments((self.stages, "stages", ("k", 2)))
+        stages = tuple((param, as_cost(stage)) for param, stage in stages)
+        take_arguments(
+            (base.values, "base_cost", ("m", "n")),
+            *((stage.values, f"stages[{k}]", ("m", "n")) for k, (_, stage) in enumerate(stages)),
         )
-        shape = self.base_cost.shape
-        for _, stage in self.stages:
-            if stage.shape != shape:
-                raise ValidationError("stage shape differs from the base cost")
+        object.__setattr__(self, "base_cost", base)
+        object.__setattr__(self, "stages", stages)
 
 
 def infconv_sequence(
@@ -272,10 +265,11 @@ def infconv_sequence(
     read in one arithmetic mode: ``ctx``, or the mode inferred from
     ``n_values``, the cost and the metric together."""
     base = as_cost(c)
-    # Each n is named as lipschitz_infconv names it.
+    # lipschitz_infconv names each n and checks the metric, absent or not.
     ctx, _, _, *n_values = read_arguments(
-        ctx, (base.values, "cost", 2), (space_x.metric or (), "space_x.metric", 2),
-        *((n, "n", 0) for n in as_tuple(n_values, "n_values")),
+        ctx, (base.values, "cost", ("m", "n")),
+        (space_x.metric or (), "space_x.metric", ("d", "d")),
+        *((n, "n", ()) for n in as_tuple(n_values, "n_values")),
     )
     stages = tuple(
         (n, lipschitz_infconv(base, n, space_x, anchor_set=anchor_set, ctx=ctx))
@@ -301,8 +295,10 @@ def beta_star_limit_check(
     fail to be nondecreasing.
     """
     ctx, mu, nu, base, *stages = read_arguments(
-        ctx, (mu, "mu", 1), (nu, "nu", 1), (sequence.base_cost.values, "sequence.base_cost", 2),
-        *((stage.values, f"sequence.stages[{k}]", 2) for k, (_, stage) in enumerate(sequence.stages)),
+        ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)),
+        (sequence.base_cost.values, "sequence.base_cost", ("m", "n")),
+        *((stage.values, f"sequence.stages[{k}]", ("m", "n"))
+          for k, (_, stage) in enumerate(sequence.stages)),
     )
     previous = None
     for (param, _), stage in zip(sequence.stages, stages):

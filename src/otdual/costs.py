@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, as_rows, as_tuple, fold_sum, read_arguments
+from .numeric import Context, Number, as_tuple, fold_sum, read_arguments, take_arguments
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -33,20 +33,17 @@ class PotentialPair:
 
     def dual_value(self, mu: Sequence[Number], nu: Sequence[Number]) -> Number:
         _, mu, nu, f, g = read_arguments(
-            None, (mu, "mu", 1), (nu, "nu", 1), (self.f, "f", 1), (self.g, "g", 1)
+            None, (mu, "mu", ("m",)), (nu, "nu", ("n",)), (self.f, "f", ("m",)),
+            (self.g, "g", ("n",)),
         )
-        if len(mu) != len(f) or len(nu) != len(g):
-            raise ValidationError("marginal lengths differ from potential lengths")
         return fold_sum(w * x for w, x in zip(mu, f)) + fold_sum(w * x for w, x in zip(nu, g))
 
 
 def potential_defect(pair: PotentialPair, values: Matrix, ctx: Context | None = None) -> Number:
     """Largest violation of the pair's side constraint; 0 when feasible."""
     ctx, values, f, g = read_arguments(
-        ctx, (values, "values", 2), (pair.f, "pair.f", 1), (pair.g, "pair.g", 1)
+        ctx, (values, "values", ("m", "n")), (pair.f, "pair.f", ("m",)), (pair.g, "pair.g", ("n",))
     )
-    if len(values) != len(f) or any(len(row) != len(g) for row in values):
-        raise ValidationError("potential pair does not match the cost shape")
     worst = ctx.number(0)
     for fi, row in zip(f, values):
         for gj, x in zip(g, row):
@@ -69,10 +66,8 @@ class CostMatrix:
     upper_potential: PotentialPair | None = None
 
     def __post_init__(self) -> None:
-        values = as_rows(self.values, "values")
+        (values,) = take_arguments((self.values, "values", ("m", "n")))
         object.__setattr__(self, "values", values)
-        if values and any(len(row) != len(values[0]) for row in values):
-            raise ValidationError("cost matrix rows have unequal lengths")
         for pair, side in ((self.lower_potential, LOWER), (self.upper_potential, UPPER)):
             if pair is None:
                 continue
@@ -80,8 +75,8 @@ class CostMatrix:
                 raise ValidationError(f"{side} witness has side {pair.side!r}")
             # Read here to name the pair's entries by their field.
             ctx, read, _, _ = read_arguments(
-                None, (values, "values", 2), (pair.f, f"{side}_potential.f", 1),
-                (pair.g, f"{side}_potential.g", 1),
+                None, (values, "values", ("m", "n")), (pair.f, f"{side}_potential.f", ("m",)),
+                (pair.g, f"{side}_potential.g", ("n",)),
             )
             defect = potential_defect(pair, read, ctx)
             if not ctx.leq(defect, 0):
@@ -89,16 +84,11 @@ class CostMatrix:
                     f"{side} bounding pair violates its inequality by {defect}"
                 )
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        m = len(self.values)
-        return (m, len(self.values[0]) if m else 0)
-
 
 def as_cost(c) -> CostMatrix:
     if isinstance(c, CostMatrix):
         return c
-    return CostMatrix(values=as_rows(c, "cost"))
+    return CostMatrix(values=take_arguments((c, "cost", ("m", "n")))[0])
 
 
 def negate_matrix(values: Matrix) -> Matrix:

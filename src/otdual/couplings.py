@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch, ValidationError
-from .numeric import Context, as_rows, as_tuple, fold_sum, read_arguments
+from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch
+from .numeric import Context, as_tuple, fold_sum, read_arguments, take_arguments
 from .spaces import Matrix, Partition, ProbabilitySpace, Vector, mask_indices, pushforward
 from .transport import Coupling
 
@@ -24,12 +24,11 @@ class CoarseCoupling:
     nu: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_rows(self.matrix, "matrix"))
-        object.__setattr__(self, "nu", as_tuple(self.nu, "nu"))
-        if len(self.matrix) != len(self.partition.cells):
-            raise ValidationError("one coarse row per partition cell is required")
-        if any(len(row) != len(self.nu) for row in self.matrix):
-            raise ValidationError("coarse rows must match the length of nu")
+        matrix, nu = take_arguments(
+            (self.matrix, "matrix", (len(self.partition.cells), "n")), (self.nu, "nu", ("n",))
+        )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "nu", nu)
 
 
 def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> Coupling:
@@ -40,12 +39,11 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
     plan on every (union of cells) x (subset of Y) rectangle.  Cells of mass
     zero are skipped; their points receive zero rows.
     """
-    ctx, mu, t, nu = read_arguments(
-        ctx, (mu, "mu", 1), (coarse.matrix, "coarse.matrix", 2), (coarse.nu, "coarse.nu", 1)
-    )
     partition = coarse.partition
-    if partition.size != len(mu):
-        raise ValidationError("mu length differs from the partition's space size")
+    ctx, mu, t, nu = read_arguments(
+        ctx, (mu, "mu", (partition.size,)), (coarse.matrix, "coarse.matrix", ("k", "n")),
+        (coarse.nu, "coarse.nu", ("n",)),
+    )
     masses = partition.cell_masses(mu)
     for k, (mass, row) in enumerate(zip(masses, t)):
         row_sum = fold_sum(row)
@@ -76,7 +74,9 @@ def monge_coupling(
 ) -> Coupling:
     """The coupling concentrated on the graph of a measure-preserving map."""
     mapping = as_tuple(mapping, "mapping")
-    ctx, mu, nu = read_arguments(ctx, (space_x.weights, "space_x.weights", 1), (nu, "nu", 1))
+    ctx, mu, nu = read_arguments(
+        ctx, (space_x.weights, "space_x.weights", ("m",)), (nu, "nu", ("n",))
+    )
     image = pushforward(space_x, mapping, len(nu), ctx)
     defect = tuple(b - a for a, b in zip(image, nu))
     if any(not ctx.is_zero(x) for x in defect):
@@ -92,7 +92,7 @@ def monge_coupling(
 
 
 def product_coupling(mu, nu, ctx: Context | None = None) -> Coupling:
-    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)))
     return Coupling(
         matrix=tuple(tuple(a * b for b in nu) for a in mu), mu=mu, nu=nu
     )
@@ -105,11 +105,11 @@ def diagonal_coupling(space, target=None, ctx: Context | None = None) -> Couplin
     and ``target`` are spaces their point sets must coincide.
     """
     if isinstance(space, ProbabilitySpace):
-        ctx, mu = read_arguments(ctx, (space.weights, "space.weights", 1))
+        ctx, mu = read_arguments(ctx, (space.weights, "space.weights", ("n",)))
         if isinstance(target, ProbabilitySpace) and target.points != space.points:
             raise SpaceMismatch("diagonal coupling needs X and Y to share points")
     else:
-        ctx, mu = read_arguments(ctx, (space, "space", 1))
+        ctx, mu = read_arguments(ctx, (space, "space", ("n",)))
         if isinstance(target, ProbabilitySpace) and len(target.points) != len(mu):
             raise SpaceMismatch("diagonal coupling needs equal point counts")
     zero = ctx.number(0)

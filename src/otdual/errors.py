@@ -5,10 +5,6 @@ class DualityError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatch(DualityError):
-    """Matrix or vector shapes do not line up."""
-
-
 class InfeasibleMarginals(DualityError):
     """A marginal weight vector is negative somewhere or does not sum to 1."""
 
@@ -78,6 +74,10 @@ class ParseError(DualityError):
 
 class ValidationError(DualityError):
     """An invariant of a constructed object fails."""
+
+
+class DimensionMismatch(ValidationError):
+    """Matrix or vector shapes do not line up; a ``ValidationError``."""
 
 
 class InvariantViolation(DualityError):

@@ -14,7 +14,7 @@ from random import Random
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import Context, format_number, read_arguments
+from .numeric import Context, format_number, read_arguments, take_arguments
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -71,29 +71,23 @@ def _parse_indices(values, size: int, where: str) -> tuple[int, ...]:
     return tuple(_parse_index(v, size, f"{where}[{i}]") for i, v in enumerate(values))
 
 
-def _parse_vector(values, ctx, where) -> Vector:
-    if not isinstance(values, list):
-        raise ParseError(f"{where} must be a list")
-    return read_arguments(ctx, (values, where, 1))[1]
-
-
-def _parse_matrix(rows, ctx, where) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ParseError(f"{where} must be a list of lists")
-    return read_arguments(ctx, (rows, where, 2))[1]
+def _parse_numbers(values, ctx, where, shape):
+    """A vector or matrix of ``shape`` read from JSON lists."""
+    matrix = len(shape) == 2
+    if not isinstance(values, list) or matrix and not all(isinstance(r, list) for r in values):
+        raise ParseError(f"{where} must be a list" + (" of lists" if matrix else ""))
+    return read_arguments(ctx, (values, where, shape))[1]
 
 
 def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
-    weights = _parse_vector(_need(data, "weights", list, where), ctx, f"{where}.weights")
+    weights = _parse_numbers(_need(data, "weights", list, where), ctx, f"{where}.weights", ("n",))
     points = _need(data, "points", list, where, optional=True)
     metric = data.get("metric")
     if metric is not None:
-        metric = _parse_matrix(metric, ctx, f"{where}.metric")
+        metric = _parse_numbers(metric, ctx, f"{where}.metric", ("n", "n"))
     coords = data.get("coords")
     if coords is not None:
-        coords = _parse_vector(coords, ctx, f"{where}.coords")
-        if len(coords) != len(weights):
-            raise ValidationError(f"{where}.coords length differs from weights")
+        coords = _parse_numbers(coords, ctx, f"{where}.coords", (len(weights),))
     try:
         space = make_space(weights, metric, points, prefix=where[-1])
     except DualityError as exc:
@@ -147,12 +141,7 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
     raw_cost = _need(data, "cost", dict, "instance", optional=True)
     if raw_cost is not None:
         if "matrix" in raw_cost:
-            values = _parse_matrix(raw_cost["matrix"], ctx, "cost.matrix")
-            if len(values) != m or any(len(r) != n for r in values):
-                raise ValidationError(
-                    f"cost.matrix is {len(values)}x{len(values[0]) if values else 0}, "
-                    f"spaces are {m} and {n}"
-                )
+            values = _parse_numbers(raw_cost["matrix"], ctx, "cost.matrix", (m, n))
             cost = CostMatrix(values=values)
         elif "formula" in raw_cost:
             cost_formula = raw_cost["formula"]
@@ -198,8 +187,7 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
     mapping = None
     raw_map = _need(data, "map", list, "instance", optional=True)
     if raw_map is not None:
-        if len(raw_map) != m:
-            raise ValidationError(f"map has {len(raw_map)} entries for {m} points")
+        take_arguments((raw_map, "map", (m,)))
         mapping = _parse_indices(raw_map, n, "map")
 
     return Instance(
@@ -339,7 +327,8 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
     rectangles = random_rectangles(rng, m, n)
     partition = random_partition(rng, m)
     ctx, mu, nu, metric, cost = read_arguments(
-        Context(mode), (mu, "mu", 1), (nu, "nu", 1), (metric, "metric", 2), (cost, "cost", 2)
+        Context(mode), (mu, "mu", ("m",)), (nu, "nu", ("n",)), (metric, "metric", ("m", "m")),
+        (cost, "cost", ("m", "n")),
     )
     return Instance(
         ctx=ctx,

@@ -31,10 +31,8 @@ def simplex_maximize(objective, lhs, rhs, ctx: Context | None = None) -> tuple[N
     0 is read as 0.
     """
     ctx, c, a, b = read_arguments(
-        ctx, (objective, "objective", 1), (lhs, "lhs", 2), (rhs, "rhs", 1)
+        ctx, (objective, "objective", ("k",)), (lhs, "lhs", ("r", "k")), (rhs, "rhs", ("r",))
     )
-    if any(len(row) != len(c) for row in a) or len(b) != len(a):
-        raise DualityError("LP shapes do not line up")
     if any(x < -ctx.atol for x in b):
         raise DualityError("simplex_maximize requires b >= 0")
     value, *x = from_ratios(_lattice_simplex(c, a, b), ctx.mode)

@@ -12,9 +12,11 @@ call, goes through the first, and every number written goes through the
 second.  Both refuse non-finite values, which lie outside the real-valued
 costs and measures the transport values are defined for.
 :func:`read_arguments` is the one library boundary: every public entry
-reads its numbers, vectors and matrices through it, so a bad argument
-raises ``ParseError`` naming the parameter (``cost[0][1]``, ``mu[2]``,
-``eps``).  :func:`fold_sum` is the one summation rule.
+reads its numbers, vectors and matrices through it, each declared once with
+its shape, so a bad entry raises ``ParseError`` naming the parameter
+(``cost[0][1]``, ``mu[2]``, ``eps``) and a wrong length ``DimensionMismatch``
+naming it.  Constructors take their fields through its first half,
+:func:`take_arguments`.  :func:`fold_sum` is the one summation rule.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from itertools import repeat, starmap
 from operator import add, truediv
 from typing import Union
 
-from .errors import ParseError, ValidationError
+from .errors import DimensionMismatch, ParseError, ValidationError
 
 Number = Union[int, Fraction, float]
 
@@ -158,24 +160,64 @@ def _read_matrix(ctx: Context, rows: tuple, where: str) -> tuple[tuple[Number, .
         raise
 
 
-# By rank: how to take an argument, and how to read the taken argument.
-_TAKE = (lambda value, where: value, as_tuple, as_rows)
+def _fit(bound: dict, dim, size: int, where: str, unit: str, source: tuple) -> None:
+    """Check ``size`` against ``dim``; a name not yet in ``bound`` is bound to
+    ``size`` and to ``source``, the (extent, argument) that fixed it."""
+    if isinstance(dim, int):
+        expected, source = dim, None
+    else:
+        expected, source = bound.setdefault(dim, (size, source))
+    if size != expected:
+        units = unit if size == 1 else "entries" if unit == "entry" else f"{unit}s"
+        fixed_by = f" (the {source[0]} of {source[1]})" if source else ""
+        raise DimensionMismatch(f"{where} has {size} {units}, expected {expected}{fixed_by}")
+
+
+def take_arguments(*arguments) -> tuple:
+    """The values of ``(value, where, shape)`` arguments, taken once, no entry read.
+
+    ``shape`` is ``()`` for a number, ``(d,)`` for a vector (taken as a
+    tuple) and ``(d, e)`` for a matrix (a tuple of tuples); a non-sequence
+    raises ``ParseError`` naming ``where``.  A dimension is an ``int`` or a
+    name such as ``"m"``, bound by the first argument that has it; a matrix
+    with no rows binds no row length.  A wrong length raises
+    ``DimensionMismatch`` naming the argument and the one that fixed the
+    dimension: ``mu has 3 entries, expected 2 (the rows of cost)``.
+    """
+    bound: dict = {}
+    taken = []
+    for value, where, shape in arguments:
+        if len(shape) == 1:
+            value = as_tuple(value, where)
+            _fit(bound, shape[0], len(value), where, "entry", ("length", where))
+        elif shape:
+            value = as_rows(value, where)
+            _fit(bound, shape[0], len(value), where, "row", ("rows", where))
+            # Row 0 fixes the row length; a ragged matrix names the first row that differs.
+            rows = value if len(set(map(len, value))) > 1 else value[:1]
+            for i, row in enumerate(rows):
+                _fit(bound, shape[1], len(row), f"{where}[{i}]", "entry", ("columns", where))
+        taken.append(value)
+    return tuple(taken)
+
+
+# By rank: how to read a taken argument.
 _READ = (Context.number, _read_vector, _read_matrix)
 
 
 def read_arguments(ctx: Context | None, *arguments) -> tuple:
-    """``(ctx, *values)`` for ``(value, where, rank)`` arguments, read once.
+    """``(ctx, *values)`` for ``(value, where, shape)`` arguments, read once.
 
-    Rank 0 is a number, 1 a vector and 2 a matrix.  Each argument is taken
-    once as a tuple (or a tuple of tuples), so a generator is consumed once
-    and a non-sequence raises ``ParseError`` naming ``where``.  The context
-    is ``ctx``, or when it is None is inferred from every argument.  Each
-    entry is then read by :meth:`Context.number`, so a bad one is named
+    The values are taken and shape-checked by :func:`take_arguments`.  The
+    context is ``ctx``, or when it is None is inferred from every argument.
+    Each entry is then read by :meth:`Context.number`, so a bad one is named
     ``where``, ``where[i]`` or ``where[i][j]``.
     """
-    taken = [(_TAKE[rank](value, where), where, rank) for value, where, rank in arguments]
-    ctx = resolve_context(ctx, *(value for value, _, _ in taken))
-    return (ctx, *(_READ[rank](ctx, value, where) for value, where, rank in taken))
+    taken = take_arguments(*arguments)
+    ctx = resolve_context(ctx, *taken)
+    return (ctx, *(
+        _READ[len(shape)](ctx, value, where) for value, (_, where, shape) in zip(taken, arguments)
+    ))
 
 
 def fold_sum(values) -> Number:

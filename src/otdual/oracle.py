@@ -63,7 +63,7 @@ def transport_polytope_vertices(
     mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
 ) -> tuple[Matrix, ...]:
     """All distinct extreme couplings of the polytope with marginals mu, nu."""
-    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)))
     m, n = len(mu), len(nu)
     if m * n > cap:
         raise InstanceTooLarge(f"{m}x{n} = {m * n} cells exceeds the cap of {cap}")

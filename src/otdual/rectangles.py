@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .costs import CostMatrix
 from .errors import IndexOutOfRange, InvariantViolation, ValidationError
-from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
+from .numeric import (
+    Context, Number, fold_sum, from_lattice, read_arguments, take_arguments, to_lattice,
+)
 from .spaces import (
     Mask,
     Matrix,
@@ -38,11 +40,14 @@ class RectangleFamily:
     rects: tuple[tuple[Mask, Mask], ...]
 
     def __post_init__(self) -> None:
-        rects = tuple((tuple(a), tuple(b)) for a, b in self.rects)
-        object.__setattr__(self, "rects", rects)
-        for k, (a, b) in enumerate(rects):
-            if len(a) != self.nx or len(b) != self.ny:
-                raise ValidationError(f"rectangle {k} is not sized to its spaces")
+        (rects,) = take_arguments((self.rects, "rects", ("k", 2)))
+        # Each rectangle is a pair of masks, sized nx and ny.
+        masks = take_arguments(*(
+            (mask, f"rects[{k}][{side}]", (size,))
+            for k, rect in enumerate(rects)
+            for side, (mask, size) in enumerate(zip(rect, (self.nx, self.ny)))
+        ))
+        object.__setattr__(self, "rects", tuple(zip(masks[::2], masks[1::2])))
 
     def union_matrix(self) -> Matrix:
         rows = [[0] * self.ny for _ in range(self.nx)]
@@ -90,6 +95,7 @@ class Cover:
 
 
 def covers(family: RectangleFamily, a: Mask, b: Mask) -> bool:
+    a, b = take_arguments((a, "a", (family.nx,)), (b, "b", (family.ny,)))
     h = family.union_matrix()
     for i, row in enumerate(h):
         if a[i]:
@@ -162,9 +168,7 @@ def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Co
     re-verified entrywise before returning.  The flow runs on mu and nu
     scaled onto one integer lattice, so the cut is exact in both modes.
     """
-    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
-    if len(mu) != family.nx or len(nu) != family.ny:
-        raise ValidationError("marginal lengths differ from the family's spaces")
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
     scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
     flow, reachable = _max_flow_cut(family.union_matrix(), mass_mu, mass_nu)
     (flow,) = from_lattice((flow,), scale, ctx.mode)
@@ -194,7 +198,7 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     Otherwise the returned report carries the positive maximal coupling mass
     together with a maximizing coupling.
     """
-    ctx, mu, nu = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1))
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
     cover = min_cover(family, mu, nu, ctx)
     if ctx.is_zero(cover.value):
         return cover
@@ -227,7 +231,9 @@ def truncation_duality(
     The report states the certified bound, whether the tail mass is below
     eps, and the directly solved alpha(H) for comparison.
     """
-    ctx, mu, nu, eps = read_arguments(ctx, (mu, "mu", 1), (nu, "nu", 1), (eps, "eps", 0))
+    ctx, mu, nu, eps = read_arguments(
+        ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)), (eps, "eps", ())
+    )
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
     head = solve_alpha(indicator_cost(family.head(n + 1), UNION), mu, nu, ctx)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .errors import IndexOutOfRange, ValidationError, ZeroMassCell
 from .numeric import (
-    Context, Number, as_rows, as_tuple, fold_sum, from_lattice, read_arguments, to_lattice,
+    Context, Number, as_tuple, fold_sum, from_lattice, read_arguments, take_arguments, to_lattice,
 )
 
 Mask = tuple[bool, ...]
@@ -40,15 +40,15 @@ def mask_indices(mask: Mask) -> tuple[int, ...]:
 
 
 def mask_union(*masks: Mask) -> Mask:
+    (masks,) = take_arguments((masks, "masks", ("k", "n")))
     if not masks:
         raise ValidationError("union of zero masks has no length")
     return tuple(any(bits) for bits in zip(*masks))
 
 
 def mask_mass(weights: Sequence[Number], mask: Mask) -> Number:
-    _, weights = read_arguments(None, (weights, "weights", 1))
-    if len(weights) != len(mask):
-        raise ValidationError("mask length differs from weight vector length")
+    _, weights = read_arguments(None, (weights, "weights", ("n",)))
+    (mask,) = take_arguments((mask, "mask", (len(weights),)))
     return fold_sum(w for w, b in zip(weights, mask) if b)
 
 
@@ -70,18 +70,12 @@ class ProbabilitySpace:
     metric: Matrix | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", as_tuple(self.points, "points"))
-        object.__setattr__(self, "weights", as_tuple(self.weights, "weights"))
+        fields = [("weights", ("n",)), ("points", ("n",))]
         if self.metric is not None:
-            object.__setattr__(self, "metric", as_rows(self.metric, "metric"))
-        if len(self.weights) != len(self.points):
-            raise ValidationError(
-                f"{len(self.points)} points but {len(self.weights)} weights"
-            )
-        if self.metric is not None:
-            n = len(self.points)
-            if len(self.metric) != n or any(len(row) != n for row in self.metric):
-                raise ValidationError("metric matrix is not square of the point count")
+            fields.append(("metric", ("n", "n")))
+        taken = take_arguments(*((getattr(self, name), name, shape) for name, shape in fields))
+        for (name, _), value in zip(fields, taken):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -116,7 +110,8 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
     """
     # A space without a metric has no metric axioms to check.
     ctx, w, d = read_arguments(
-        ctx, (space.weights, "space.weights", 1), (space.metric or (), "space.metric", 2)
+        ctx, (space.weights, "space.weights", ("n",)),
+        (space.metric or (), "space.metric", ("d", "d")),
     )
     defect = abs(fold_sum(w) - 1)
     negative = tuple(i for i, x in enumerate(w) if not ctx.nonneg(x))
@@ -160,9 +155,8 @@ def validate_space(space: ProbabilitySpace, ctx: Context | None = None) -> Space
 
 def conditional_measure(space: ProbabilitySpace, cell: Mask, ctx: Context | None = None) -> Vector:
     """Weights conditioned on ``cell``: restricted, renormalized, zero outside."""
-    ctx, w = read_arguments(ctx, (space.weights, "space.weights", 1))
-    if len(cell) != len(w):
-        raise ValidationError("cell mask length differs from the space size")
+    ctx, w = read_arguments(ctx, (space.weights, "space.weights", ("n",)))
+    (cell,) = take_arguments((cell, "cell", (len(w),)))
     total = mask_mass(w, cell)
     if ctx.is_zero(total):
         raise ZeroMassCell("cannot condition on a cell of mass 0")
@@ -174,10 +168,9 @@ def pushforward(
     space: ProbabilitySpace, mapping: Sequence[int], target_size: int, ctx: Context | None = None
 ) -> Vector:
     """Image weights under a total point map into a space of ``target_size``."""
-    mapping = as_tuple(mapping, "mapping")
-    ctx, w = read_arguments(ctx, (space.weights, "space.weights", 1))
-    if len(mapping) != len(w):
-        raise ValidationError("map must be total: one target index per point")
+    ctx, w = read_arguments(ctx, (space.weights, "space.weights", ("n",)))
+    # The map must be total: one target index per point.
+    (mapping,) = take_arguments((mapping, "mapping", (len(w),)))
     out = [ctx.number(0)] * target_size
     for i, t in enumerate(mapping):
         if not 0 <= t < target_size:
@@ -197,12 +190,10 @@ def limsup_mass(
     (intersection over n of the unions past n) needs the infinite sequence
     and cannot be represented here.
     """
-    _, w = read_arguments(ctx, (space.weights, "space.weights", 1))
+    _, w = read_arguments(ctx, (space.weights, "space.weights", ("n",)))
+    (sets,) = take_arguments((sets, "sets", ("k", len(w))))
     if not 0 <= from_index < len(sets):
         raise IndexOutOfRange(f"from_index {from_index} outside 0..{len(sets) - 1}")
-    for s in sets:
-        if len(s) != space.size:
-            raise ValidationError("set mask length differs from the space size")
     tail = sets[from_index:]
     union = mask_union(*tail) if tail else empty_mask(space.size)
     return mask_mass(w, union)
@@ -217,10 +208,8 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
     mode each distance is the exact shortest path of the given floats,
     rounded once.  Never applied silently by any other operation.
     """
-    ctx, d = read_arguments(ctx, (matrix, "matrix", 2))
+    ctx, d = read_arguments(ctx, (matrix, "matrix", ("n", "n")))
     n = len(d)
-    if any(len(r) != n for r in d):
-        raise ValidationError("metric generator must be square")
     scale, d = to_lattice(*d)
     d = [list(r) for r in d]
     for i in range(n):
@@ -265,13 +254,15 @@ class Partition:
     representatives: tuple[int | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(c) for c in self.cells)
+        cells = as_tuple(self.cells, "cells")
+        reps = (None,) * len(cells) if self.representatives is None else self.representatives
+        cells, reps = take_arguments(
+            (cells, "cells", ("k", "n")), (reps, "representatives", ("k",))
+        )
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise ValidationError("a partition needs at least one cell")
         n = len(cells[0])
-        if any(len(c) != n for c in cells):
-            raise ValidationError("all cells must have the same mask length")
         counts = [0] * n
         for c in cells:
             for i, b in enumerate(c):
@@ -284,12 +275,6 @@ class Partition:
             )
         if self.null_cell_index is not None and not 0 <= self.null_cell_index < len(cells):
             raise ValidationError("null cell index outside the cell list")
-        reps = self.representatives
-        if reps is None:
-            reps = (None,) * len(cells)
-        reps = tuple(reps)
-        if len(reps) != len(cells):
-            raise ValidationError("representatives must align with cells")
         for k, r in enumerate(reps):
             if r is None:
                 continue

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
-from .errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
+from .errors import InfeasibleMarginals, InvariantViolation
 from .numeric import (
-    Context, Number, as_rows, as_tuple, fold_sum, from_lattice, read_arguments, to_lattice,
+    Context, Number, fold_sum, from_lattice, read_arguments, take_arguments, to_lattice,
 )
 from .spaces import Matrix, Vector
 
@@ -43,9 +43,11 @@ class Coupling:
     nu: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_rows(self.matrix, "matrix"))
-        object.__setattr__(self, "mu", as_tuple(self.mu, "mu"))
-        object.__setattr__(self, "nu", as_tuple(self.nu, "nu"))
+        taken = take_arguments(
+            (self.matrix, "matrix", ("m", "n")), (self.mu, "mu", ("m",)), (self.nu, "nu", ("n",))
+        )
+        for name, value in zip(("matrix", "mu", "nu"), taken):
+            object.__setattr__(self, name, value)
 
     def row_sums(self) -> Vector:
         return tuple(fold_sum(row) for row in self.matrix)
@@ -65,8 +67,8 @@ class CouplingDefects:
 
 def coupling_defects(coupling: Coupling, ctx: Context | None = None) -> CouplingDefects:
     ctx, matrix, mu, nu = read_arguments(
-        ctx, (coupling.matrix, "coupling.matrix", 2), (coupling.mu, "coupling.mu", 1),
-        (coupling.nu, "coupling.nu", 1),
+        ctx, (coupling.matrix, "coupling.matrix", ("m", "n")),
+        (coupling.mu, "coupling.mu", ("m",)), (coupling.nu, "coupling.nu", ("n",)),
     )
     rows = tuple(fold_sum(row) for row in matrix)
     cols = tuple(fold_sum(col) for col in zip(*matrix))
@@ -79,8 +81,6 @@ def coupling_defects(coupling: Coupling, ctx: Context | None = None) -> Coupling
         and ctx.is_zero(col_defect)
         and ctx.nonneg(min_entry)
         and ctx.eq(total, 1)
-        and len(rows) == len(mu)
-        and len(cols) == len(nu)
     )
     return CouplingDefects(ok, row_defect, col_defect, min_entry, total)
 
@@ -89,12 +89,8 @@ def transport_value(coupling_or_matrix, values: Matrix) -> Number:
     if isinstance(coupling_or_matrix, Coupling):
         coupling_or_matrix = coupling_or_matrix.matrix
     _, matrix, values = read_arguments(
-        None, (coupling_or_matrix, "coupling_or_matrix", 2), (values, "values", 2)
+        None, (coupling_or_matrix, "coupling_or_matrix", ("m", "n")), (values, "values", ("m", "n"))
     )
-    if len(matrix) != len(values) or any(
-        len(r) != len(v) for r, v in zip(matrix, values)
-    ):
-        raise DimensionMismatch("coupling and cost have different shapes")
     return fold_sum(p * c for prow, crow in zip(matrix, values) for p, c in zip(prow, crow))
 
 
@@ -124,13 +120,8 @@ class ChainReport:
 
 def _validated_inputs(c, mu, nu, ctx):
     ctx, values, mu, nu = read_arguments(
-        ctx, (as_cost(c).values, "cost", 2), (mu, "mu", 1), (nu, "nu", 1)
+        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
     )
-    m, n = len(mu), len(nu)
-    if len(values) != m or any(len(row) != n for row in values):
-        raise DimensionMismatch(
-            f"cost is {len(values)}x{len(values[0]) if values else 0}, marginals are {m} and {n}"
-        )
     for name, w in (("mu", mu), ("nu", nu)):
         for i, x in enumerate(w):
             if not ctx.nonneg(x):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
 from .lp import simplex_maximize
 from .numeric import RATIONAL, Context, Number, fold_sum, from_ratios, read_arguments
 from .spaces import Matrix, Vector
@@ -44,10 +43,10 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     exactly, a finite float as the dyadic rational it is, and solved in
     rational arithmetic; float mode rounds the value and each f_i once.
     """
-    ctx, d, mu, nu = read_arguments(ctx, (metric, "metric", 2), (mu, "mu", 1), (nu, "nu", 1))
+    ctx, d, mu, nu = read_arguments(
+        ctx, (metric, "metric", ("n", "n")), (mu, "mu", ("n",)), (nu, "nu", ("n",))
+    )
     n = len(mu)
-    if len(nu) != n or len(d) != n or any(len(row) != n for row in d):
-        raise ValidationError("metric and marginals must share one point set")
     if n == 1:
         zero = ctx.number(0)
         return zero, (zero,)
@@ -79,7 +78,9 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
 
 
 def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> WassersteinReport:
-    ctx, metric, mu, nu = read_arguments(ctx, (metric, "metric", 2), (mu, "mu", 1), (nu, "nu", 1))
+    ctx, metric, mu, nu = read_arguments(
+        ctx, (metric, "metric", ("n", "n")), (mu, "mu", ("n",)), (nu, "nu", ("n",))
+    )
     primal = solve_alpha(metric, mu, nu, ctx)
     dual_value, witness = lipschitz_dual(metric, mu, nu, ctx)
     return WassersteinReport(
@@ -93,7 +94,7 @@ def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> Wasserst
 
 def lipschitz_violations(metric: Matrix, f, ctx: Context | None = None) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) where |f_i - f_j| exceeds d(i, j)."""
-    ctx, d, f = read_arguments(ctx, (metric, "metric", 2), (f, "f", 1))
+    ctx, d, f = read_arguments(ctx, (metric, "metric", ("n", "n")), (f, "f", ("n",)))
     bad = []
     for i in range(len(f)):
         for j in range(len(f)):

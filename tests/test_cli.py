@@ -9,7 +9,7 @@ import pytest
 import otdual as ot
 from otdual import rectangles
 from otdual.cli import main, run_scenario
-from otdual.errors import DualityError, ParseError, ValidationError
+from otdual.errors import DimensionMismatch, DualityError, ParseError, ValidationError
 from otdual.instances import (
     generate_instance,
     instance_to_jsonable,
@@ -481,6 +481,14 @@ BAD_CONTAINER_CALLS = {
     "CoarseCoupling": (
         lambda: ot.CoarseCoupling(partition=ot.singleton_partition(2), matrix=5, nu=HALF), "matrix"
     ),
+    "Partition": (lambda: ot.Partition(cells=5), "cells"),
+    "Partition-representatives": (
+        lambda: ot.Partition(cells=((True,),), representatives=5), "representatives"
+    ),
+    "RectangleFamily": (lambda: ot.RectangleFamily(nx=2, ny=2, rects=5), "rects"),
+    "ApproximantSequence": (
+        lambda: ot.ApproximantSequence(base_cost=ot.as_cost(((0,),)), stages=5), "stages"
+    ),
 }
 
 
@@ -488,6 +496,119 @@ BAD_CONTAINER_CALLS = {
 def test_library_entries_name_a_bad_container(call, named):
     with pytest.raises(ParseError, match=f"^{named} is not a sequence"):
         call()
+
+
+THIRDS3 = (F(1, 3),) * 3
+TALL = ((0,), (1,), (2,))
+
+
+# Each entry or constructor, called with arguments whose sizes disagree, and
+# the argument the error names: the first whose size differs from the one an
+# earlier argument fixed.
+BAD_SHAPE_CALLS = {
+    **{
+        solver.__name__: (lambda solver=solver: solver(COST, THIRDS3, HALF), "mu")
+        for solver in LIBRARY_SOLVERS
+    },
+    "oracle_enumerate": (lambda: ot.oracle_enumerate(COST, HALF, THIRDS3, "alpha"), "nu"),
+    "min_cover": (lambda: ot.min_cover(FAMILY, THIRDS3, HALF), "mu"),
+    "arveson_witness": (lambda: ot.arveson_witness(FAMILY, HALF, THIRDS3), "nu"),
+    "truncation_duality": (
+        lambda: ot.truncation_duality(FAMILY, HALF, THIRDS3, 0, F(1, 10)), "nu"
+    ),
+    "covers": (lambda: ot.covers(FAMILY, (True,), (True, True)), "a"),
+    "wasserstein1": (lambda: ot.wasserstein1(SWAP, HALF, THIRDS3), "nu"),
+    "lipschitz_dual": (lambda: ot.lipschitz_dual(SWAP, THIRDS3, HALF), "mu"),
+    "lipschitz_violations": (lambda: lipschitz_violations(SWAP, (0, 1, 5)), "f"),
+    "lipschitz_violations-short": (lambda: lipschitz_violations(SWAP, (0,)), "f"),
+    "lipschitz_modulus": (lambda: ot.lipschitz_modulus(TALL, SWAP), "metric"),
+    "row_min_potential": (lambda: ot.row_min_potential(((0, 5), (1, 7)), (0,)), "g"),
+    "shifted_infconv": (
+        lambda: ot.shifted_infconv(COST, 1, ot.make_space(HALF, SWAP), (0, 0, 5)), "f"
+    ),
+    "lipschitz_infconv": (
+        lambda: ot.lipschitz_infconv(TALL, 1, ot.make_space(HALF, SWAP)), "space_x.metric"
+    ),
+    "infconv_sequence": (
+        lambda: ot.infconv_sequence(TALL, ot.make_space(HALF, SWAP), (1,)), "space_x.metric"
+    ),
+    "oscillation_partition": (
+        lambda: ot.oscillation_partition(TALL, 1, ot.make_space(HALF, SWAP), 1), "space_x.metric"
+    ),
+    "oscillation": (
+        lambda: ot.oscillation(COST, ot.Partition(cells=((True, True, True),))), "cost"
+    ),
+    "partition_discretize": (
+        lambda: ot.partition_discretize(COST, ot.singleton_partition(3)), "cost"
+    ),
+    "normalize_cost": (
+        lambda: ot.normalize_cost(COST, ot.PotentialPair(f=(0, 0, 0), g=(0, 0), side="lower")),
+        "lower.f",
+    ),
+    "potential_defect": (
+        lambda: ot.potential_defect(ot.PotentialPair(f=(0, 0), g=(0,), side="lower"), SWAP),
+        "pair.g",
+    ),
+    "PotentialPair.dual_value": (lambda: ZEROS.dual_value(THIRDS3, HALF), "f"),
+    "beta_star_limit_check": (
+        lambda: ot.beta_star_limit_check(one_stage(COST), THIRDS3, HALF), "sequence.base_cost"
+    ),
+    "transport_value": (lambda: ot.transport_value(SWAP, ((0, 1),)), "values"),
+    "extend_coupling": (lambda: ot.extend_coupling(coarse_plan(), THIRDS3), "mu"),
+    "monge_coupling": (
+        lambda: ot.monge_coupling(ot.make_space(HALF), (1, 0, 0), HALF), "mapping"
+    ),
+    "pushforward": (lambda: ot.pushforward(ot.make_space(HALF), (1,), 2), "mapping"),
+    "conditional_measure": (
+        lambda: ot.conditional_measure(ot.make_space(HALF), (True,)), "cell"
+    ),
+    "limsup_mass": (lambda: ot.limsup_mass(ot.make_space(HALF), ((True,),), 0), "sets[0]"),
+    "mask_mass": (lambda: ot.mask_mass(HALF, (True,)), "mask"),
+    "mask_union": (lambda: ot.mask_union((True,), (True, False)), "masks[1]"),
+    "metric_repair": (lambda: ot.metric_repair(((0, 1),)), "matrix[0]"),
+    "make_space": (lambda: ot.make_space(HALF, ((0,),)), "metric"),
+    "simplex_maximize": (lambda: simplex_maximize((1, 2), ((1,),), (1,)), "lhs[0]"),
+    "parse_instance": (
+        lambda: parse_instance(dict(minimal_doc(), cost={"matrix": [["1", "2"]]})),
+        "cost.matrix[0]",
+    ),
+    "parse_instance-map": (lambda: parse_instance(dict(swap_doc(), map=[0])), "map"),
+    "ProbabilitySpace": (lambda: ot.ProbabilitySpace(points=("a",), weights=HALF), "points"),
+    "Coupling": (lambda: ot.Coupling(matrix=SWAP, mu=THIRDS3, nu=HALF), "mu"),
+    "CostMatrix": (lambda: ot.CostMatrix(values=((0, 1), (1,))), "values[1]"),
+    "CostMatrix-potential": (
+        lambda: ot.CostMatrix(
+            values=SWAP, lower_potential=ot.PotentialPair(f=(0,), g=(0, 0), side="lower")
+        ),
+        "lower_potential.f",
+    ),
+    "CoarseCoupling": (
+        lambda: ot.CoarseCoupling(
+            partition=ot.singleton_partition(2), matrix=((F(1, 2), 0),), nu=HALF
+        ),
+        "matrix",
+    ),
+    "Partition": (lambda: ot.Partition(cells=((True, False), (True,))), "cells[1]"),
+    "Partition-representatives": (
+        lambda: ot.Partition(cells=((True,),), representatives=(0, 0)), "representatives"
+    ),
+    "RectangleFamily": (
+        lambda: ot.RectangleFamily(nx=2, ny=2, rects=(((True,), (True, False)),)), "rects[0][0]"
+    ),
+    "ApproximantSequence": (
+        lambda: ot.ApproximantSequence(base_cost=COST, stages=((1, ((0,),)),)), "stages[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, named", BAD_SHAPE_CALLS.values(), ids=BAD_SHAPE_CALLS.keys())
+def test_library_entries_name_a_shape_mismatch(call, named):
+    with pytest.raises(DimensionMismatch, match=rf"^{re.escape(named)} has \d+ (entr|row)"):
+        call()
+
+
+def test_a_shape_mismatch_is_a_validation_error():
+    assert issubclass(DimensionMismatch, ValidationError)
 
 
 # Exported functions that read no number from their caller: they take
@@ -500,6 +621,29 @@ NO_NUMBERS = {
 }
 
 
+# Parameters that carry a size: vectors, matrices, masks and the objects
+# built on them.  A variadic parameter counts as two.
+SIZED = {
+    "a", "b", "base_cost", "c", "cell", "cells", "coarse", "coupling_or_matrix", "f", "family",
+    "g", "lhs", "lower", "lower_potential", "mapping", "mask", "masks", "matrix", "metric", "mu",
+    "nu", "nx", "ny", "objective", "pair", "partition", "points", "rects", "representatives",
+    "rhs", "sequence", "sets", "space", "space_x", "stages", "target", "upper_potential",
+    "values", "weights",
+}
+# Entries whose sized arguments share no dimension: mu and nu of a product
+# or of a polytope, f and g of a pair; diagonal_coupling raises SpaceMismatch.
+UNRELATED_SHAPES = {
+    "PotentialPair", "diagonal_coupling", "product_coupling", "transport_polytope_vertices",
+}
+
+
+def sized_parameters(obj) -> int:
+    return sum(
+        2 if p.kind is p.VAR_POSITIONAL else 1
+        for p in inspect.signature(obj).parameters.values() if p.name in SIZED
+    )
+
+
 def test_every_exported_function_is_checked_at_the_library_boundary():
     exported = {
         name for name, obj in vars(ot).items()
@@ -510,6 +654,15 @@ def test_every_exported_function_is_checked_at_the_library_boundary():
         | {solver.__name__ for solver in LIBRARY_SOLVERS}
     )
     assert not exported - checked, sorted(exported - checked)
+    # Functions and the constructors that check their fields.
+    shaped = {
+        name for name, obj in vars(ot).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj) and hasattr(obj, "__post_init__"))
+        and sized_parameters(obj) >= 2
+    }
+    unchecked = shaped - set(BAD_SHAPE_CALLS) - UNRELATED_SHAPES
+    assert not unchecked, sorted(unchecked)
 
 
 @pytest.mark.parametrize("call, named", [
