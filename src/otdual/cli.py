@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .approx import (
@@ -63,15 +63,8 @@ def _check(name, ok, **detail):
 
 
 def _coupling_checks(ctx, name, coupling):
-    d = coupling_defects(coupling, ctx)
-    return _check(
-        name,
-        d.ok,
-        max_row_defect=format_number(d.max_row_defect, ctx.mode),
-        max_col_defect=format_number(d.max_col_defect, ctx.mode),
-        min_entry=format_number(d.min_entry, ctx.mode),
-        total_mass=format_number(d.total_mass, ctx.mode),
-    )
+    defects = asdict(coupling_defects(coupling, ctx))
+    return _check(name, defects.pop("ok"), **defects)
 
 
 def _scenario_solve(instance, ctx, options):
@@ -83,24 +76,18 @@ def _scenario_solve(instance, ctx, options):
     beta_star = solve_beta_star(cost, mu, nu, ctx)
     chain = check_chain(cost, mu, nu, ctx)
     result = {
-        "beta": format_number(beta.value, ctx.mode),
-        "alpha": format_number(low.value, ctx.mode),
-        "alpha_star": format_number(high.value, ctx.mode),
-        "beta_star": format_number(beta_star.value, ctx.mode),
-        "chain": format_number(chain.as_tuple(), ctx.mode),
-        "coupling_alpha": format_number(low.coupling.matrix, ctx.mode),
-        "coupling_alpha_star": format_number(high.coupling.matrix, ctx.mode),
-        "potentials_beta": {
-            "f": format_number(beta.potentials.f, ctx.mode),
-            "g": format_number(beta.potentials.g, ctx.mode),
-        },
-        "potentials_beta_star": {
-            "f": format_number(beta_star.potentials.f, ctx.mode),
-            "g": format_number(beta_star.potentials.g, ctx.mode),
-        },
+        "beta": beta.value,
+        "alpha": low.value,
+        "alpha_star": high.value,
+        "beta_star": beta_star.value,
+        "chain": chain.as_tuple(),
+        "coupling_alpha": low.coupling.matrix,
+        "coupling_alpha_star": high.coupling.matrix,
+        "potentials_beta": {"f": beta.potentials.f, "g": beta.potentials.g},
+        "potentials_beta_star": {"f": beta_star.potentials.f, "g": beta_star.potentials.g},
     }
     checks = [
-        _check("chain_inequality", chain.ok, chain=format_number(chain.as_tuple(), ctx.mode)),
+        _check("chain_inequality", chain.ok, chain=chain.as_tuple()),
         _coupling_checks(ctx, "alpha_coupling_marginals", low.coupling),
         _coupling_checks(ctx, "alpha_star_coupling_marginals", high.coupling),
         _check(
@@ -121,20 +108,16 @@ def _scenario_chain(instance, ctx, options):
     cost = instance.cost
     chain = check_chain(cost, instance.space_x.weights, instance.space_y.weights, ctx)
     result = {
-        "beta": format_number(chain.beta, ctx.mode),
-        "alpha": format_number(chain.alpha, ctx.mode),
-        "alpha_star": format_number(chain.alpha_star, ctx.mode),
-        "beta_star": format_number(chain.beta_star, ctx.mode),
+        "beta": chain.beta,
+        "alpha": chain.alpha,
+        "alpha_star": chain.alpha_star,
+        "beta_star": chain.beta_star,
     }
     return result, [_check("chain_inequality", chain.ok)]
 
 
 def _parse_n_list(text, ctx):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.append(ctx.number(part, "--n"))
+    out = tuple(ctx.number(part, "--n") for part in map(str.strip, text.split(",")) if part)
     if not out:
         raise ValidationError("--n produced an empty stage list")
     return out
@@ -151,23 +134,21 @@ def _scenario_approx(instance, ctx, options):
             raise ValidationError(
                 "cost has no finite Lipschitz modulus; pass --n explicitly"
             )
-        ns = [ctx.number(1)]
+        ns = (ctx.number(1),)
         while ns[-1] < max(modulus, 1):
-            ns.append(ns[-1] * 2)
+            ns += (ns[-1] * 2,)
     sequence = infconv_sequence(cost, instance.space_x, ns, ctx=ctx)
     try:
         report = beta_star_limit_check(sequence, mu, nu, ctx)
     except NotMonotone as exc:
-        return {"stages": format_number(ns, ctx.mode)}, [
-            _check("stages_monotone", False, error=str(exc))
-        ]
+        return {"stages": ns}, [_check("stages_monotone", False, error=str(exc))]
     reaches = modulus is not None and ns[-1] >= max(modulus, 0)
     result = {
-        "stages": format_number(ns, ctx.mode),
-        "beta_star_stages": format_number(report.stage_values, ctx.mode),
-        "beta_star_base": format_number(report.base_value, ctx.mode),
-        "final_gap": format_number(report.final_gap, ctx.mode),
-        "lipschitz_modulus": format_number(modulus, ctx.mode),
+        "stages": ns,
+        "beta_star_stages": report.stage_values,
+        "beta_star_base": report.base_value,
+        "final_gap": report.final_gap,
+        "lipschitz_modulus": modulus,
         "last_stage_reaches_modulus": reaches,
     }
     checks = [_check("stages_monotone", True)]
@@ -194,12 +175,12 @@ def _scenario_partition(instance, ctx, options):
     result = {
         "cells": [list(mask_indices(c)) for c in part.cells],
         "representatives": list(part.representatives),
-        "oscillation_per_cell": format_number(osc, ctx.mode),
-        "oscillation_max": format_number(actual, ctx.mode),
-        "alpha": format_number(alpha, ctx.mode),
-        "alpha_discretized": format_number(alpha0, ctx.mode),
-        "beta": format_number(beta, ctx.mode),
-        "beta_discretized": format_number(beta0, ctx.mode),
+        "oscillation_per_cell": osc,
+        "oscillation_max": actual,
+        "alpha": alpha,
+        "alpha_discretized": alpha0,
+        "beta": beta,
+        "beta_discretized": beta0,
     }
     checks = [
         _check("oscillation_within_eps", ctx.leq(actual, eps)),
@@ -240,12 +221,12 @@ def _scenario_extend(instance, ctx, options):
             if not ctx.eq(lhs, coarse.matrix[k][y]):
                 agreement_ok = False
     result = {
-        "cell_masses": format_number(masses, ctx.mode),
-        "coarse_value": format_number(coarse_report.value, ctx.mode),
-        "coarse_coupling": format_number(coarse.matrix, ctx.mode),
-        "extended_coupling": format_number(fine.matrix, ctx.mode),
-        "extended_cost": format_number(fine_value, ctx.mode),
-        "alpha": format_number(alpha, ctx.mode),
+        "cell_masses": masses,
+        "coarse_value": coarse_report.value,
+        "coarse_coupling": coarse.matrix,
+        "extended_coupling": fine.matrix,
+        "extended_cost": fine_value,
+        "alpha": alpha,
     }
     checks = [
         _coupling_checks(ctx, "extended_marginals", fine),
@@ -263,8 +244,8 @@ def _scenario_cover(instance, ctx, options):
     result = {
         "cover_a": list(mask_indices(cover.a)),
         "cover_b": list(mask_indices(cover.b)),
-        "cover_value": format_number(cover.value, ctx.mode),
-        "alpha_star": format_number(best.value, ctx.mode),
+        "cover_value": cover.value,
+        "alpha_star": best.value,
     }
     checks = [
         _check("cover_contains_union", covers(family, cover.a, cover.b)),
@@ -282,7 +263,7 @@ def _scenario_arveson(instance, ctx, options):
             "null_cover": {
                 "a": list(mask_indices(outcome.a)),
                 "b": list(mask_indices(outcome.b)),
-                "value": format_number(outcome.value, ctx.mode),
+                "value": outcome.value,
             }
         }
         checks = [
@@ -295,8 +276,8 @@ def _scenario_arveson(instance, ctx, options):
         ]
     else:
         result = {
-            "alpha_star": format_number(outcome.alpha_star, ctx.mode),
-            "maximizing_coupling": format_number(outcome.coupling.matrix, ctx.mode),
+            "alpha_star": outcome.alpha_star,
+            "maximizing_coupling": outcome.coupling.matrix,
         }
         checks = [
             _check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star)),
@@ -315,10 +296,10 @@ def _scenario_wasserstein(instance, ctx, options):
     report = wasserstein1(metric, mu, nu, ctx)
     violations = lipschitz_violations(metric, report.lipschitz_witness, ctx)
     result = {
-        "alpha": format_number(report.primal_value, ctx.mode),
-        "beta_lipschitz": format_number(report.dual_value, ctx.mode),
-        "witness_f": format_number(report.lipschitz_witness, ctx.mode),
-        "coupling": format_number(report.coupling.matrix, ctx.mode),
+        "alpha": report.primal_value,
+        "beta_lipschitz": report.dual_value,
+        "witness_f": report.lipschitz_witness,
+        "coupling": report.coupling.matrix,
     }
     checks = [
         _check("duality_gap_zero", ctx.eq(report.primal_value, report.dual_value)),
@@ -339,10 +320,10 @@ def _scenario_oracle_check(instance, ctx, options):
     exact = low == oracle_low and high == oracle_high
     ok = ctx.eq(low, oracle_low) and ctx.eq(high, oracle_high)
     result = {
-        "alpha": format_number(low, ctx.mode),
-        "alpha_oracle": format_number(oracle_low, ctx.mode),
-        "alpha_star": format_number(high, ctx.mode),
-        "alpha_star_oracle": format_number(oracle_high, ctx.mode),
+        "alpha": low,
+        "alpha_oracle": oracle_low,
+        "alpha_star": high,
+        "alpha_star_oracle": oracle_high,
         "match": "exact" if exact else ("within-tolerance" if ok else "mismatch"),
     }
     return result, [_check("solver_matches_oracle", ok)]
@@ -395,7 +376,9 @@ _VERBS = {
 def run_scenario(instance: Instance, command: str, options: dict | None = None) -> dict:
     """Execute one scenario and return the full report document.
 
-    A broken solver invariant becomes the failed check ``solver_invariants``.
+    A scenario returns raw solver values; its result and its checks are
+    rendered here, in one pass.  A broken solver invariant becomes the
+    failed check ``solver_invariants``.
     """
     verb = _VERBS.get(command)
     if verb is None:
@@ -410,6 +393,7 @@ def run_scenario(instance: Instance, command: str, options: dict | None = None) 
         result, checks = verb.scenario(instance, ctx, options or {})
     except InvariantViolation as exc:
         result, checks = {}, [_check("solver_invariants", False, error=str(exc))]
+    result, checks = format_number((result, tuple(checks)), ctx.mode)
     elapsed = time.perf_counter() - started
     return {
         "command": command,

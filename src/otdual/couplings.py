@@ -101,16 +101,19 @@ def product_coupling(mu, nu, ctx: Context | None = None) -> Coupling:
 def diagonal_coupling(space, target=None, ctx: Context | None = None) -> Coupling:
     """diag(mu) on a common point set; both marginals are mu.
 
-    Accepts a ProbabilitySpace or a bare weight vector.  When both ``space``
-    and ``target`` are spaces their point sets must coincide.
+    Accepts a ProbabilitySpace or a bare weight vector.  ``target`` is None
+    or a ProbabilitySpace; when both are spaces their point sets must
+    coincide.
     """
+    if target is not None and not isinstance(target, ProbabilitySpace):
+        raise SpaceMismatch(f"target is a {type(target).__name__}, not a ProbabilitySpace")
     if isinstance(space, ProbabilitySpace):
         ctx, mu = read_arguments(ctx, (space.weights, "space.weights", ("n",)))
-        if isinstance(target, ProbabilitySpace) and target.points != space.points:
+        if target is not None and target.points != space.points:
             raise SpaceMismatch("diagonal coupling needs X and Y to share points")
     else:
         ctx, mu = read_arguments(ctx, (space, "space", ("n",)))
-        if isinstance(target, ProbabilitySpace) and len(target.points) != len(mu):
+        if target is not None and len(target.points) != len(mu):
             raise SpaceMismatch("diagonal coupling needs equal point counts")
     zero = ctx.number(0)
     n = len(mu)

@@ -91,7 +91,7 @@ def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
     try:
         space = make_space(weights, metric, points, prefix=where[-1])
     except DualityError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
     return space, coords
 
 
@@ -182,7 +182,7 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
         try:
             partition = Partition(cells=cells, null_cell_index=null, representatives=reps)
         except DualityError as exc:
-            raise ValidationError(f"partition: {exc}") from None
+            raise type(exc)(f"partition: {exc}") from None
 
     mapping = None
     raw_map = _need(data, "map", list, "instance", optional=True)
@@ -217,15 +217,13 @@ def load_instance(path, mode_override: str | None = None, tolerance: float | Non
 
 
 def instance_to_jsonable(instance: Instance) -> dict:
+    """The instance as a JSON document, its numbers rendered in one pass."""
     mode = instance.ctx.mode
 
     def space_doc(space: ProbabilitySpace, coords):
-        doc = {"points": list(space.points), "weights": format_number(space.weights, mode)}
-        if space.metric is not None:
-            doc["metric"] = format_number(space.metric, mode)
-        if coords is not None:
-            doc["coords"] = format_number(coords, mode)
-        return doc
+        doc = {"points": list(space.points), "weights": space.weights,
+               "metric": space.metric, "coords": coords}
+        return {key: value for key, value in doc.items() if value is not None}
 
     doc = {
         "arithmetic": mode,
@@ -235,7 +233,10 @@ def instance_to_jsonable(instance: Instance) -> dict:
     if instance.cost_formula is not None:
         doc["cost"] = {"formula": instance.cost_formula}
     elif instance.cost is not None:
-        doc["cost"] = {"matrix": format_number(instance.cost.values, mode)}
+        doc["cost"] = {"matrix": instance.cost.values}
+    doc = format_number(doc, mode)
+    # The fields below hold indices, not numbers, and the scalar
+    # null_cell_index would be rendered as one.
     if instance.rectangles is not None:
         doc["rectangles"] = [
             {"x": list(mask_indices(a)), "y": list(mask_indices(b))}

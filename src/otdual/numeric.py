@@ -9,8 +9,10 @@ tolerance, default 1e-9).  Every operation in the package takes an optional
 :meth:`Context.number` and :func:`format_number` are the one number
 boundary: every number read, from an instance file, a CLI flag or a library
 call, goes through the first, and every number written goes through the
-second.  Both refuse non-finite values, which lie outside the real-valued
-costs and measures the transport values are defined for.
+second, once per document: it renders dicts and tuples entry by entry and
+passes lists through, so index lists stay as they are.  Both refuse
+non-finite values, which lie outside the real-valued costs and measures the
+transport values are defined for.
 :func:`read_arguments` is the one library boundary: every public entry
 reads its numbers, vectors and matrices through it, each declared once with
 its shape, so a bad entry raises ``ParseError`` naming the parameter
@@ -257,16 +259,20 @@ def from_ratios(pairs, mode: str) -> tuple[Number, ...]:
 
 
 def format_number(value, mode: str):
-    """Render a value for a report or an instance file.
+    """Render a value, or a whole document of them, for a report or an instance file.
 
     Numbers become exact "p/q" strings in rational mode and floats in float
-    mode; tuples and lists become lists of rendered values; None stays None.
+    mode.  Dicts and tuples are rendered entry by entry, a tuple as a list.
+    A ``bool``, a ``str``, ``None`` and a ``list`` come back unchanged, so a
+    document carries its flags, names and JSON-ready index lists through.
     A non-finite float, left by an overflow in float arithmetic, raises
     ``ValidationError``: JSON has no such number.
     """
-    if value is None:
-        return None
-    if isinstance(value, (tuple, list)):
+    if value is None or isinstance(value, (bool, str, list)):
+        return value
+    if isinstance(value, dict):
+        return {key: format_number(x, mode) for key, x in value.items()}
+    if isinstance(value, tuple):
         return [format_number(x, mode) for x in value]
     if mode == RATIONAL_MODE:
         return str(Fraction(value))

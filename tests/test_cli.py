@@ -7,9 +7,15 @@ from fractions import Fraction as F
 import pytest
 
 import otdual as ot
-from otdual import rectangles
+from otdual import cli, rectangles
 from otdual.cli import main, run_scenario
-from otdual.errors import DimensionMismatch, DualityError, ParseError, ValidationError
+from otdual.errors import (
+    DimensionMismatch,
+    DualityError,
+    ParseError,
+    SpaceMismatch,
+    ValidationError,
+)
 from otdual.instances import (
     generate_instance,
     instance_to_jsonable,
@@ -18,6 +24,7 @@ from otdual.instances import (
     save_instance,
 )
 from otdual.lp import simplex_maximize
+from otdual.numeric import format_number
 from otdual.wasserstein import lipschitz_violations
 
 
@@ -448,7 +455,9 @@ def test_library_entries_reject_a_bad_number(call, named, bad, mode):
         call(bad, ot.Context(mode))
 
 
-# Each entry, called with an argument that is not a sequence.
+# Each entry, called with an argument that is not a sequence, or, where a
+# row names one, with an argument of another wrong kind: the error class and
+# the kind the message says the argument is not.
 BAD_CONTAINER_CALLS = {
     "min_cover": (lambda: ot.min_cover(FAMILY, 5, HALF), "mu"),
     "arveson_witness": (lambda: ot.arveson_witness(FAMILY, HALF, None), "nu"),
@@ -460,6 +469,10 @@ BAD_CONTAINER_CALLS = {
     "transport_polytope_vertices": (lambda: ot.transport_polytope_vertices(5, HALF), "mu"),
     "simplex_maximize": (lambda: simplex_maximize((1,), ((1,),), None), "rhs"),
     "diagonal_coupling": (lambda: ot.diagonal_coupling(None), "space"),
+    "diagonal_coupling-target": (
+        lambda: ot.diagonal_coupling(HALF, target=(1, 2, 3)), "target",
+        SpaceMismatch, "a tuple, not a ProbabilitySpace",
+    ),
     "transport_value": (lambda: ot.transport_value(None, SWAP), "coupling_or_matrix"),
     "metric_repair": (lambda: ot.metric_repair(None), "matrix"),
     "potential_defect": (lambda: ot.potential_defect(ZEROS, None), "values"),
@@ -492,9 +505,10 @@ BAD_CONTAINER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call, named", BAD_CONTAINER_CALLS.values(), ids=BAD_CONTAINER_CALLS.keys())
-def test_library_entries_name_a_bad_container(call, named):
-    with pytest.raises(ParseError, match=f"^{named} is not a sequence"):
+@pytest.mark.parametrize("row", BAD_CONTAINER_CALLS.values(), ids=BAD_CONTAINER_CALLS.keys())
+def test_library_entries_name_a_bad_container(row):
+    call, named, error, kind = row if len(row) == 4 else (*row, ParseError, "not a sequence")
+    with pytest.raises(error, match=f"^{named} is {kind}$"):
         call()
 
 
@@ -573,6 +587,16 @@ BAD_SHAPE_CALLS = {
         "cost.matrix[0]",
     ),
     "parse_instance-map": (lambda: parse_instance(dict(swap_doc(), map=[0])), "map"),
+    "parse_instance-points": (
+        lambda: parse_instance(dict(swap_doc(), space_x={"weights": ["1/2", "1/2"], "points": ["a"]})),
+        "space_x: points",
+    ),
+    "parse_instance-representatives": (
+        lambda: parse_instance(
+            dict(minimal_doc(), partition={"cells": [[0]], "representatives": [0, 0]})
+        ),
+        "partition: representatives",
+    ),
     "ProbabilitySpace": (lambda: ot.ProbabilitySpace(points=("a",), weights=HALF), "points"),
     "Coupling": (lambda: ot.Coupling(matrix=SWAP, mu=THIRDS3, nu=HALF), "mu"),
     "CostMatrix": (lambda: ot.CostMatrix(values=((0, 1), (1,))), "values[1]"),
@@ -941,6 +965,61 @@ def test_instance_jsonable_matches_schema(tmp_path):
     assert doc["arithmetic"] == "rational"
     assert doc["cost"]["matrix"][0] == ["0", "1"]
     assert doc["rectangles"][0] == {"x": [0], "y": [0]}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_format_number_renders_a_document(mode):
+    half, one = ("1/2", "1") if mode == "rational" else (0.5, 1.0)
+    doc = {"a": (F(1, 2), {"b": 1, "c": None}), "d": 1}
+    # JSON text, so that an int left unrendered differs from 1.0.
+    rendered = json.dumps(format_number(doc, mode))
+    assert rendered == json.dumps({"a": [half, {"b": one, "c": None}], "d": one})
+    for value in ([F(1, 2), 3], True, False, "1/2", None):
+        assert format_number(value, mode) is value
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="non-finite"):
+            format_number({"a": (1.0, {"b": bad})}, "float")
+
+
+def run_report(argv, capsys):
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_empty_rectangle_union_reports_an_empty_cover(tmp_path, capsys, mode):
+    doc = swap_doc()
+    doc["rectangles"] = [{"x": [], "y": [0]}]
+    path = write(tmp_path, doc)
+    kind, zero = (str, "0") if mode == "rational" else (float, 0.0)
+    code, report = run_report(["cover", path, "--mode", mode], capsys)
+    result = report["result"]
+    assert code == 0 and result["cover_a"] == [] and result["cover_b"] == []
+    assert type(result["cover_value"]) is kind and result["cover_value"] == zero
+    code, report = run_report(["arveson", path, "--mode", mode], capsys)
+    null_cover = report["result"]["null_cover"]
+    assert code == 0 and null_cover["a"] == [] and null_cover["b"] == []
+    assert type(null_cover["value"]) is kind and null_cover["value"] == zero
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_decreasing_stages_report_only_the_stages(tmp_path, capsys, mode):
+    doc = swap_doc()
+    doc["cost"] = {"matrix": [["0", "10"], ["10", "0"]]}
+    code, report = run_report(["approx", write(tmp_path, doc), "--n", "4,1", "--mode", mode], capsys)
+    assert code == 1
+    assert report["result"] == {"stages": ["4", "1"] if mode == "rational" else [4.0, 1.0]}
+    assert all(type(n) is (str if mode == "rational" else float) for n in report["result"]["stages"])
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_lipschitz_violations_are_reported_as_index_pairs(tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.setattr(cli, "lipschitz_violations", lambda *args: ((0, 1), (1, 0)))
+    code, report = run_report(["wasserstein", write(tmp_path, swap_doc()), "--mode", mode], capsys)
+    check = next(c for c in report["checks"] if c["name"] == "witness_is_1_lipschitz")
+    assert code == 1 and check["ok"] is False
+    assert check["detail"] == {"violations": [[0, 1], [1, 0]]}
+    assert all(type(i) is int for pair in check["detail"]["violations"] for i in pair)
 
 
 # Every verb in both modes on two generated instances: the exit code, the
