@@ -40,7 +40,7 @@ from .rectangles import (
     arveson_witness,
     covers,
     indicator_cost,
-    min_cover,
+    rounded_cover,
 )
 from .spaces import mask_indices, mask_mass
 from .transport import (
@@ -239,8 +239,8 @@ def _scenario_extend(instance, ctx, options):
 def _scenario_cover(instance, ctx, options):
     family = instance.rectangles
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    cover = min_cover(family, mu, nu, ctx)
     best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
+    cover = rounded_cover(family, best, ctx)
     result = {
         "cover_a": list(mask_indices(cover.a)),
         "cover_b": list(mask_indices(cover.b)),

@@ -1,23 +1,19 @@
 """Rectangle families, indicator costs, minimal covers, and the
 truncation bound for unions.
 
-The minimal cover is computed by max-flow / min-cut on the bipartite
-network (source -> x with capacity mu(x), y -> sink with capacity nu(y),
-arcs of effectively infinite capacity across every pair in H).  The cut
-reachable from the source yields the cover; on finite spaces its value
-equals both the best separable upper bound and the largest coupling mass
-of H, so the cover is an exact certificate.
+For the indicator cost 1_H of a union H of rectangles, alpha*(1_H), the
+largest coupling mass of H, equals the least mu(a) + nu(b) over covers
+H inside (a x Y) union (X x b).  The minimal cover is the beta* witness of
+the one alpha* solve, rounded to 0/1 (see ``rounded_cover``), so the cover
+is an exact certificate of the solved value.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .costs import CostMatrix
 from .errors import IndexOutOfRange, InvariantViolation, ValidationError
-from .numeric import (
-    Context, Number, fold_sum, from_lattice, read_arguments, take_arguments, to_lattice,
-)
+from .numeric import Context, Number, read_arguments, take_arguments
 from .spaces import (
     Mask,
     Matrix,
@@ -25,7 +21,7 @@ from .spaces import (
     mask_mass,
     mask_union,
 )
-from .transport import Coupling, solve_alpha, solve_alpha_star
+from .transport import Coupling, SolveReport, solve_alpha, solve_alpha_star
 
 UNION = "union"
 INTERSECTION = "intersection"
@@ -106,80 +102,33 @@ def covers(family: RectangleFamily, a: Mask, b: Mask) -> bool:
     return True
 
 
-def _max_flow_cut(h: Matrix, mu: tuple[int, ...], nu: tuple[int, ...]):
-    """Edmonds-Karp on the cover network with integer capacities; returns
-    (flow value, source side)."""
-    m, n = len(mu), len(nu)
-    source, sink = 0, 1 + m + n
-    big = fold_sum(mu) + 1  # exceeds any possible flow
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {k: [] for k in range(m + n + 2)}
+def rounded_cover(family: RectangleFamily, best: SolveReport, ctx: Context) -> Cover:
+    """The minimal cover rounded off ``best``, the solve_alpha_star report
+    on indicator_cost(family) in ``ctx``.
 
-    def add_edge(u, v, c):
-        cap[(u, v)] = c
-        cap[(v, u)] = 0
-        adj[u].append(v)
-        adj[v].append(u)
-
-    for i in range(m):
-        add_edge(source, 1 + i, mu[i])
-    for j in range(n):
-        add_edge(1 + m + j, sink, nu[j])
-    for i in range(m):
-        for j in range(n):
-            if h[i][j]:
-                add_edge(1 + i, 1 + m + j, big)
-
-    total = 0
-    while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            # This search ran to exhaustion: its keys are the source side.
-            return total, set(parent)
-        bottleneck = None
-        v = sink
-        while v != source:
-            u = parent[v]
-            c = cap[(u, v)]
-            if bottleneck is None or c < bottleneck:
-                bottleneck = c
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-            v = u
-        total += bottleneck
+    The 0/1 cost has lattice scale 1, so the upper potentials (f, g) are
+    integers with f + g >= 1_H >= 0 on every cell.  With F = min f, the sets
+    a = {f - F >= 1} and b = {g + F >= 1} cover H, and 1_a <= f - F,
+    1_b <= g + F, so mu(a) + nu(b) <= mu(f) + nu(g) = alpha*(1_H); weak
+    duality gives equality.  Both facts are re-verified before returning.
+    """
+    f, g = best.potentials.f, best.potentials.g
+    low = min(f)
+    a = tuple(x - low >= 1 for x in f)
+    b = tuple(y + low >= 1 for y in g)
+    value = mask_mass(best.coupling.mu, a) + mask_mass(best.coupling.nu, b)
+    if not covers(family, a, b):
+        raise InvariantViolation("rounded potentials fail to cover the family; unreachable")
+    if not ctx.eq(value, best.value):
+        raise InvariantViolation("rounded cover's value differs from alpha*; unreachable")
+    return Cover(a=a, b=b, value=value)
 
 
 def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Cover:
-    """A cover (a, b) of the family's union minimizing mu(a) + nu(b).
-
-    Extracted from the min cut: a is the rows unreachable from the source in
-    the residual network, b the reachable columns.  The containment is
-    re-verified entrywise before returning.  The flow runs on mu and nu
-    scaled onto one integer lattice, so the cut is exact in both modes.
-    """
+    """A cover (a, b) of the family's union minimizing mu(a) + nu(b),
+    rounded off one alpha* solve of its indicator cost."""
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
-    scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
-    flow, reachable = _max_flow_cut(family.union_matrix(), mass_mu, mass_nu)
-    (flow,) = from_lattice((flow,), scale, ctx.mode)
-    a = tuple((1 + i) not in reachable for i in range(family.nx))
-    b = tuple((1 + family.nx + j) in reachable for j in range(family.ny))
-    value = mask_mass(mu, a) + mask_mass(nu, b)
-    if not ctx.eq(value, flow):
-        raise InvariantViolation("min cut does not match the max flow; unreachable")
-    if not covers(family, a, b):
-        raise InvariantViolation("extracted cut fails to cover the family; unreachable")
-    return Cover(a=a, b=b, value=value)
+    return rounded_cover(family, solve_alpha_star(indicator_cost(family), mu, nu, ctx), ctx)
 
 
 @dataclass(frozen=True)
@@ -199,10 +148,10 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     together with a maximizing coupling.
     """
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
-    cover = min_cover(family, mu, nu, ctx)
+    best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
+    cover = rounded_cover(family, best, ctx)
     if ctx.is_zero(cover.value):
         return cover
-    best = solve_alpha_star(indicator_cost(family, UNION), mu, nu, ctx)
     return NotNullReport(alpha_star=best.value, coupling=best.coupling)
 
 

@@ -2,12 +2,13 @@ import hashlib
 import inspect
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import otdual as ot
-from otdual import cli, rectangles
+from otdual import cli
 from otdual.cli import main, run_scenario
 from otdual.errors import (
     DimensionMismatch,
@@ -813,6 +814,8 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("partition", ("--eps", "12", "--lipschitz", "24"), 2),
     ("extend", (), 2),
     ("approx", (), 5),
+    ("cover", (), 1),
+    ("arveson", (), 1),
 ])
 def test_verbs_solve_each_cost_and_side_once(tmp_path, simplex_runs, verb, flags, runs):
     path = str(tmp_path / "g.json")
@@ -849,18 +852,20 @@ def test_malformed_fields_never_raise(tmp_path, capsys):
 
 
 def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
-    max_flow_cut = rectangles._max_flow_cut
+    solve = cli.solve_alpha_star
 
-    def off_by_one(*args):
-        flow, reachable = max_flow_cut(*args)
-        return flow + 1, reachable
+    def row_shifted(*args):
+        # Lowering f on row 0 leaves the cell (0, 0) of the union uncovered.
+        best = solve(*args)
+        f = best.potentials.f
+        return replace(best, potentials=replace(best.potentials, f=(f[0] - 1, *f[1:])))
 
-    monkeypatch.setattr(rectangles, "_max_flow_cut", off_by_one)
+    monkeypatch.setattr(cli, "solve_alpha_star", row_shifted)
     assert run(["cover", write(tmp_path, swap_doc())]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["result"] == {}
     assert [c["name"] for c in report["checks"]] == ["solver_invariants"]
-    assert "min cut does not match the max flow" in report["checks"][0]["detail"]["error"]
+    assert "rounded potentials fail to cover the family" in report["checks"][0]["detail"]["error"]
 
 
 NEEDS_COST = "error: this scenario needs a 'cost' field in the instance\n"
@@ -1103,7 +1108,7 @@ GOLDEN = {
     ("9x3", "float", "extend"):
         (0, "", "bbfebe049a7267d91a5cd3a990e7bb801e25d6e69a97112d0535a441a6978904"),
     ("9x3", "rational", "cover"):
-        (0, "", "9b19f255b880752c3fc3747f88b279854fde20e0eb848dc6da28ebd91cf914f5"),
+        (0, "", "4189998c970f64a5ed832bd350cbb40e5d1a158b0f8b3217f536767b65269e85"),
     ("9x3", "float", "cover"):
         (0, "", "f75299cbe10797312a11503d7fb49b8210f4b86e3ab58fff42e87132d1fe52af"),
     ("9x3", "rational", "arveson"):

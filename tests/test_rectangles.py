@@ -83,11 +83,21 @@ def test_cover_matches_brute_force_and_alpha_star():
         mu = random_weights(rng, nx, zeros=(trial % 3 == 0))
         nu = random_weights(rng, ny, zeros=(trial % 5 == 0))
         family = random_rectangles(rng, nx, ny, rng.randint(0, 4))
-        cover = ot.min_cover(family, mu, nu)
-        assert cover.value == brute_min_cover_value(family, mu, nu)
-        assert cover.value == ot.solve_alpha_star(ot.indicator_cost(family), mu, nu).value
-        assert cover.value == ot.solve_beta_star(ot.indicator_cost(family), mu, nu).value
-        assert ot.covers(family, cover.a, cover.b)
+        brute = brute_min_cover_value(family, mu, nu)
+        cost = ot.indicator_cost(family)
+        # Rational mode compares exactly, float mode within the tolerance.
+        for ctx in (ot.Context("rational"), ot.Context("float")):
+            cover = ot.min_cover(family, mu, nu, ctx)
+            assert ctx.eq(cover.value, brute)
+            assert ctx.eq(cover.value, ot.solve_alpha_star(cost, mu, nu, ctx).value)
+            assert ctx.eq(cover.value, ot.solve_beta_star(cost, mu, nu, ctx).value)
+            assert ot.covers(family, cover.a, cover.b)
+            outcome = ot.arveson_witness(family, mu, nu, ctx)
+            if brute == 0:
+                assert isinstance(outcome, ot.Cover)
+            else:
+                assert isinstance(outcome, ot.NotNullReport)
+                assert ctx.eq(outcome.alpha_star, brute)
 
 
 # --- arveson_witness -----------------------------------------------------------
