@@ -185,9 +185,9 @@ def truncation_duality(
     )
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
-    head = solve_alpha(indicator_cost(family.head(n + 1), UNION), mu, nu, ctx)
-    head_alpha = head.value
-    head_beta = head.potentials.dual_value(mu, nu)
+    # beta(V) is the certified value of the alpha(V) solve.
+    head = indicator_cost(family.head(n + 1), UNION)
+    head_alpha = head_beta = solve_alpha(head, mu, nu, ctx).value
     tail_rows = [a for a, _ in family.rects[n + 1 :]]
     tail_union = mask_union(*tail_rows) if tail_rows else empty_mask(family.nx)
     tail_mass = mask_mass(mu, tail_union)

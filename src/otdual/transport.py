@@ -3,8 +3,8 @@
 alpha(c) is the minimum of sum P*c over couplings P with marginals mu, nu;
 alpha*(c) the maximum.  beta(c) is the best separable lower bound
 sup{mu(f)+nu(g) : f+g <= c} and beta*(c) the best separable upper bound.
-On finite spaces the LP duals close both gaps, so beta and beta* are read
-off the same solve as the primal.
+On finite spaces the LP duals close both gaps, so beta and beta* are the
+certified values of the alpha and alpha* solves, rounded once.
 
 The primal algorithm is a network simplex specialized to the bipartite
 transportation structure, pivoting with Bland's rule (smallest cell in
@@ -18,10 +18,13 @@ mapped back as v / (L*D), potentials as x / L and flows as f / D: exactly
 in rational mode, rounded once in float mode.  Positive scales keep every
 sign and order the pivot rules compare, so the pivots are those of the same
 solve on ``Fraction``s, and the mode's tolerance never steers a pivot.
+Before anything is mapped back, a check sharing nothing with the simplex
+certifies the optimum on the lattice; a failure raises ``InvariantViolation``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import mul
 
 from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
 from .errors import InfeasibleMarginals, InvariantViolation
@@ -133,20 +136,10 @@ def _validated_inputs(c, mu, nu, ctx):
 
 
 def _northwest_basis(mu, nu):
-    """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree.
-
-    Float marginals, read exactly, can miss each other's total by a rounding.
-    The exact gap goes to nu's largest entry (a pushforward nu often ends in
-    0), so the corner rule closes; with equal totals nothing moves.
-    """
+    """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree."""
     m, n = len(mu), len(nu)
     s = list(mu)
     d = list(nu)
-    largest = max(range(n), key=d.__getitem__)
-    d[largest] += fold_sum(s) - fold_sum(d)
-    if d[largest] < 0:
-        raise InfeasibleMarginals(f"the totals of mu and nu, {fold_sum(mu)} and {fold_sum(nu)}"
-                                  f" on one scale, differ by more than nu[{largest}]")
     flow: dict[tuple[int, int], Number] = {}
     i = j = 0
     while True:
@@ -266,12 +259,36 @@ def _network_simplex(values, mu, nu):
     return value, coupling, tuple(u), tuple(v)
 
 
+def _certify(cost, mu, nu, value, flow, u, v):
+    """Prove a lattice optimum of min sum P*c without trusting the simplex.
+
+    The flow is a coupling of mu and nu, u_i + v_j <= c_ij holds on every
+    cell with equality wherever the flow is positive, and the value is
+    mu.u + nu.v: so sum P*c = mu.u + nu.v = value, and both are optimal.
+    """
+    def fail(what):
+        raise InvariantViolation(f"optimality certificate fails: {what}; unreachable")
+
+    for i, (row, crow, ui) in enumerate(zip(flow, cost, u)):
+        if fold_sum(row) != mu[i]:
+            fail(f"row {i} of the flow does not sum to mu[{i}]")
+        for j, (p, cij, vj) in enumerate(zip(row, crow, v)):
+            slack = cij - ui - vj
+            if p < 0 or slack < 0 or (p and slack):
+                fail(f"cell ({i}, {j}) has flow {p} and reduced cost {slack}")
+    for j, col in enumerate(zip(*flow)):
+        if fold_sum(col) != nu[j]:
+            fail(f"column {j} of the flow does not sum to nu[{j}]")
+    if value != fold_sum(map(mul, mu, u)) + fold_sum(map(mul, nu, v)):
+        fail("the value differs from mu.u + nu.v")
+
+
 # ---------------------------------------------------------------------------
 # Public solvers
 # ---------------------------------------------------------------------------
 
 def _solve(c, mu, nu, side, ctx):
-    """One simplex run for one side: the primal report and the context used.
+    """One certified simplex run for one side: the primal report and the context used.
 
     The lower side minimizes sum P*c.  The upper side maximizes it as
     -alpha(-c), so its value and potentials are negated back here.  The
@@ -280,8 +297,21 @@ def _solve(c, mu, nu, side, ctx):
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     cost_scale, cost = to_lattice(*values)
     mass_scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
+    # Float marginals, read exactly, can miss each other's total by a
+    # rounding.  The exact gap goes to nu's largest entry (a pushforward nu
+    # often ends in 0), so the totals agree; with equal totals nothing moves.
+    total_mu, total_nu = fold_sum(mass_mu), fold_sum(mass_nu)
+    largest = max(range(len(mass_nu)), key=mass_nu.__getitem__)
+    closed = mass_nu[largest] + total_mu - total_nu
+    if closed < 0:
+        raise InfeasibleMarginals(f"the totals of mu and nu, {total_mu} and {total_nu}"
+                                  f" on one scale, differ by more than nu[{largest}]")
+    mass_nu = (*mass_nu[:largest], closed, *mass_nu[largest + 1:])
     upper = side == UPPER
-    value, matrix, u, v = _network_simplex(negate_matrix(cost) if upper else cost, mass_mu, mass_nu)
+    if upper:
+        cost = negate_matrix(cost)
+    value, matrix, u, v = _network_simplex(cost, mass_mu, mass_nu)
+    _certify(cost, mass_mu, mass_nu, value, matrix, u, v)
     if upper:
         value, u, v = -value, tuple(-x for x in u), tuple(-x for x in v)
     (value,) = from_lattice((value,), cost_scale * mass_scale, ctx.mode)
@@ -294,10 +324,6 @@ def _solve(c, mu, nu, side, ctx):
         potentials=PotentialPair(f=u, g=v, side=side),
     )
     return report, ctx
-
-
-def _dual_value(report: SolveReport) -> Number:
-    return report.potentials.dual_value(report.coupling.mu, report.coupling.nu)
 
 
 def solve_alpha(c, mu, nu, ctx: Context | None = None) -> SolveReport:
@@ -313,33 +339,23 @@ def solve_alpha_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
 def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Best separable lower bound sup{mu(f)+nu(g) : f+g <= c}.
 
-    Read off the LP dual of alpha; on finite spaces the value matches
-    alpha(c) (exactly in rational mode).
+    The certified alpha solve, whose potentials attain it: beta = alpha.
     """
-    report = _solve(c, mu, nu, LOWER, ctx)[0]
-    return replace(report, value=_dual_value(report))
+    return _solve(c, mu, nu, LOWER, ctx)[0]
 
 
 def solve_beta_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
-    """Best separable upper bound, computed as -beta(-c)."""
-    report = _solve(c, mu, nu, UPPER, ctx)[0]
-    return replace(report, value=_dual_value(report))
+    """Best separable upper bound, the certified alpha* solve (= -beta(-c))."""
+    return _solve(c, mu, nu, UPPER, ctx)[0]
 
 
 def check_chain(c, mu, nu, ctx: Context | None = None) -> ChainReport:
     """All four values in the order (beta, alpha, alpha*, beta*).
 
-    ``ok`` states whether the chain beta <= alpha <= alpha* <= beta* holds
-    within the mode tolerance; with exact arithmetic it cannot fail.
+    beta and beta* are the certified alpha and alpha*, so ``ok`` states
+    whether alpha <= alpha* within the mode tolerance.
     """
     low, ctx = _solve(c, mu, nu, LOWER, ctx)
     high, _ = _solve(c, mu, nu, UPPER, ctx)
-    beta, beta_star = _dual_value(low), _dual_value(high)
-    ok = (
-        ctx.leq(beta, low.value)
-        and ctx.leq(low.value, high.value)
-        and ctx.leq(high.value, beta_star)
-    )
-    return ChainReport(
-        beta=beta, alpha=low.value, alpha_star=high.value, beta_star=beta_star, ok=ok
-    )
+    return ChainReport(beta=low.value, alpha=low.value, alpha_star=high.value,
+                       beta_star=high.value, ok=ctx.leq(low.value, high.value))

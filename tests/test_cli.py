@@ -8,11 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 import otdual as ot
-from otdual import cli
+from otdual import cli, transport
 from otdual.cli import main, run_scenario
 from otdual.errors import (
     DimensionMismatch,
     DualityError,
+    InvariantViolation,
     ParseError,
     SpaceMismatch,
     ValidationError,
@@ -851,7 +852,7 @@ def test_malformed_fields_never_raise(tmp_path, capsys):
                 assert "NaN" not in out and "Infinity" not in out, (path, value, flags)
 
 
-def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
+def shift_cover_potentials(monkeypatch):
     solve = cli.solve_alpha_star
 
     def row_shifted(*args):
@@ -861,11 +862,58 @@ def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch):
         return replace(best, potentials=replace(best.potentials, f=(f[0] - 1, *f[1:])))
 
     monkeypatch.setattr(cli, "solve_alpha_star", row_shifted)
-    assert run(["cover", write(tmp_path, swap_doc())]) == 1
+
+
+def raise_simplex_potential(monkeypatch):
+    simplex = transport._network_simplex
+
+    def raised(values, mu, nu):
+        # u[0] + 1 exceeds the cost on every basic cell of row 0.
+        value, matrix, u, v = simplex(values, mu, nu)
+        return value, matrix, (u[0] + 1, *u[1:]), v
+
+    monkeypatch.setattr(transport, "_network_simplex", raised)
+
+
+@pytest.mark.parametrize("verb, patch, solvers, message", [
+    ("cover", shift_cover_potentials, (), "rounded potentials fail to cover the family"),
+    ("solve", raise_simplex_potential, (ot.solve_alpha, ot.solve_alpha_star),
+     "optimality certificate fails: cell (0, "),
+], ids=["cover", "solve"])
+def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch, verb, patch, solvers,
+                                          message):
+    patch(monkeypatch)
+    assert run([verb, write(tmp_path, swap_doc())]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["result"] == {}
     assert [c["name"] for c in report["checks"]] == ["solver_invariants"]
-    assert "rounded potentials fail to cover the family" in report["checks"][0]["detail"]["error"]
+    assert message in report["checks"][0]["detail"]["error"]
+    for solver in solvers:
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            solver(((0, 1), (1, 0)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_float_costs_near_1e9_keep_beta_equal_to_alpha(tmp_path, capsys, seed):
+    # The reported beta and beta* are alpha and alpha* rounded once, so no
+    # absolute tolerance judges a recomputed dual value at this scale.
+    path = str(tmp_path / "g.json")
+    assert run(["gen", "--seed", str(seed), "--size", "4x4", "--mode", "float", "-o", path]) == 0
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["cost"]["matrix"] = [[x * 1e9 for x in row] for row in doc["cost"]["matrix"]]
+    path = write(tmp_path, doc)
+    capsys.readouterr()
+    for verb in ("solve", "chain", "approx"):
+        code, report = run_report([verb, path], capsys)
+        assert code == 0, (verb, report["checks"])
+        if verb == "solve":
+            result = report["result"]
+            assert result["beta"] == result["alpha"] and result["beta_star"] == result["alpha_star"]
+            assert all(
+                isinstance(result[name], float)
+                for name in ("beta", "alpha", "alpha_star", "beta_star")
+            )
 
 
 NEEDS_COST = "error: this scenario needs a 'cost' field in the instance\n"
@@ -1044,17 +1092,17 @@ GOLDEN_GEN = {
 }
 GOLDEN = {
     ("4x4", "rational", "solve"):
-        (0, "", "0b2c3c206727460c290ab2a377a838e4cd3a52835c1595519b1671199cf9097d"),
+        (0, "", "cda41fd93495fc38d574012890dfe0905efa2589c21135325b16936ad268604a"),
     ("4x4", "float", "solve"):
-        (0, "", "a3a7ecb3de7e0da1385d845f0fa6e9839bf61fb25b9316a1fbcb47b69db6028b"),
+        (0, "", "4edbb5f1b04628ef5a3c34018b5cc7a795ea3679a2d6663c9375a94f12407a88"),
     ("4x4", "rational", "chain"):
         (0, "", "ef39578a587d35130c789581bd054be10ba4e8391e44cc627c2f1401f6f1bdef"),
     ("4x4", "float", "chain"):
-        (0, "", "05dfa7eac0764ab67458a984ca45aba0f1eff42148541fcd5f1648941673f7a3"),
+        (0, "", "6694730f491785d8fffe7e534d86842a9153794958bb979c1b0a91ae2af74421"),
     ("4x4", "rational", "approx"):
         (0, "", "a5e6252b20398b0b8f5054e20634b1a0ca482c6a42953f6f1566fa8c9726a6da"),
     ("4x4", "float", "approx"):
-        (0, "", "fb89dee3e2540b1f80f00d57fe194e27df786a361287c5b377f65d3be40c149d"),
+        (0, "", "282df978ad99fef27f3915392b2869e8ace66f8bb49827f1f90d6d2ef146e1dd"),
     ("4x4", "rational", "partition --eps 12 --lipschitz 24"):
         (0, "", "1c736825b34ed349f09e6429974e316538d66fb251e7048f323df96e07afe7f7"),
     ("4x4", "float", "partition --eps 12 --lipschitz 24"):
@@ -1068,9 +1116,9 @@ GOLDEN = {
     ("4x4", "float", "extend"):
         (0, "", "fb6648273b9294f6e022b2a2bdc958898793bd80603edd4e157e6e5aae5364be"),
     ("4x4", "rational", "cover"):
-        (0, "", "ca9396d50a3fcb181fb4ed14ff067997323d05d73d16e2c12307a712cf778c93"),
+        (0, "", "e8155ea4ad2b4eea3f72014844b9ea050bad9bfd07e19affe49807724f826987"),
     ("4x4", "float", "cover"):
-        (0, "", "311b1b440488117918e191e8ad4d1af50704f9ec70d15fcc0f77235ba5781941"),
+        (0, "", "a4b8359507d94b8d4f7749383d2f1cee6a67052d4af9062fc6cfed91f2866db6"),
     ("4x4", "rational", "arveson"):
         (0, "", "a35af6ad6f8d4b5c0d25f30065380fb3b58cfdf99cd510a0cccfd63416dced0a"),
     ("4x4", "float", "arveson"):
@@ -1084,33 +1132,33 @@ GOLDEN = {
     ("4x4", "float", "oracle-check"):
         (0, "", "b157316b5d7cfe7337d227806a7e6a1aa9164f0f33683986bcebb800748ff647"),
     ("9x3", "rational", "solve"):
-        (0, "", "35a062c900c8b1390add49ba51202d427482f4bfc12b93eb94bbd6995b9c7bc1"),
+        (0, "", "39fe777f8c119a0e6bec19f564945a4edbacedddf1af0b28761253a8e997cc74"),
     ("9x3", "float", "solve"):
-        (0, "", "cea2dc9572e0c854d740699cecce7fc5c82e1586105c04c36450bed4c6070a12"),
+        (0, "", "52494187b4024c74598717014b2111041bb765c8acc48fadbc12b8d7ec588acd"),
     ("9x3", "rational", "chain"):
         (0, "", "9e911b5724c4a58d3169fda1e051f157e5577d90c2b7752889cf2d191d6663d2"),
     ("9x3", "float", "chain"):
-        (0, "", "abbd7c9c05f6b4fb3dabb841192d4e687a3e315b86919a752a2a623c0d4b12a9"),
+        (0, "", "3960b5396a05c925c90c0c07474afd1ff53af01a0f07c0c672b7a0e739d9af67"),
     ("9x3", "rational", "approx"):
         (0, "", "e682250bb40f76644a8bd01a49d324ca5a278c4888e778967c4e0a9fd4934da9"),
     ("9x3", "float", "approx"):
-        (0, "", "661e2ed61d8c5bb86a6cf33bd410e719527a7e0a866d55ae373891b8c1fbbf94"),
+        (0, "", "c39a928e29dc16e86cf5d52595d82f073da3e3210484f20231987e17f66f51b2"),
     ("9x3", "rational", "partition --eps 12 --lipschitz 24"):
         (0, "", "fce0d93d081b9a9c4fc4849936936192b17aed6846e7b82008937e806de84c89"),
     ("9x3", "float", "partition --eps 12 --lipschitz 24"):
-        (0, "", "f24c419765cc1156a7c110ce3d962df2332bef3fd92e9815b0a6aca64939892f"),
+        (0, "", "3e9074bcb7eda22d2625bc9c2406e2843e605b69a68c3a11d4ed894989fc1aaf"),
     ("9x3", "rational", "partition --eps 1 --lipschitz 24"):
         (0, "", "ba80e13acbf28aff0dee264f492ed2c2267a62ca9bbf4dae40df63c7a7bebf62"),
     ("9x3", "float", "partition --eps 1 --lipschitz 24"):
-        (0, "", "788b1ad572ca108455e5b08fd42ef08b4738c44926d1b934e7eae42d12618700"),
+        (0, "", "9ea47be638d80ae7d31aacfef9b1981838908e68c22399209d42d20e1b1e2733"),
     ("9x3", "rational", "extend"):
         (0, "", "28be67d6f1d0c953f8caead2761e824f44519d254451dd715d578c8a3530e447"),
     ("9x3", "float", "extend"):
         (0, "", "bbfebe049a7267d91a5cd3a990e7bb801e25d6e69a97112d0535a441a6978904"),
     ("9x3", "rational", "cover"):
-        (0, "", "4189998c970f64a5ed832bd350cbb40e5d1a158b0f8b3217f536767b65269e85"),
+        (0, "", "a8afa05b2d1e71cc625d2f166d26ef240c3f117e052ae726097e47c19b235f82"),
     ("9x3", "float", "cover"):
-        (0, "", "f75299cbe10797312a11503d7fb49b8210f4b86e3ab58fff42e87132d1fe52af"),
+        (0, "", "46be8ffd2a575f31a4ad3c4dcfdbc0ac70d5d3b13815b577fb42210bd6c85229"),
     ("9x3", "rational", "arveson"):
         (0, "", "277b5337783ddec21310f118048d2914c124c3ce0a28f6073d7a558e8b85f6c0"),
     ("9x3", "float", "arveson"):

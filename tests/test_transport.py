@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from random import Random
 
@@ -14,7 +15,7 @@ from conftest import (
 
 import otdual as ot
 from otdual import transport
-from otdual.errors import DimensionMismatch, InfeasibleMarginals
+from otdual.errors import DimensionMismatch, InfeasibleMarginals, InvariantViolation
 from otdual.instances import (
     generate_instance,
     random_cost_matrix,
@@ -338,3 +339,26 @@ def test_lattice_solves_match_the_oracle_and_the_fraction_simplex():
             sign = 1 if objective == "alpha" else -1
             assert (sign * value, matrix) == (report.value, plan)
             assert tuple(sign * x for x in u + v) == pair.f + pair.g
+
+
+# The swap instance on the lattice (marginal scale 2): its optimum is the
+# diagonal flow with value 0 and zero potentials.
+DIAGONAL = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("value, flow, u, v, defect", [
+    (0, DIAGONAL, (0, 0), (0, 0), None),
+    (0, ((2, -1), (-1, 2)), (0, -1), (0, 1), "cell (0, 1) has flow -1 and reduced cost 0"),
+    (0, ((1, 0), (0, 0)), (0, 0), (0, 0), "row 1 of the flow"),
+    (0, ((1, 0), (1, 0)), (0, 1), (0, -1), "column 0 of the flow"),
+    (0, DIAGONAL, (0, 0), (0, 2), "cell (0, 1) has flow 0 and reduced cost -1"),
+    (-1, DIAGONAL, (-1, 0), (0, 0), "cell (0, 0) has flow 1 and reduced cost 1"),
+    (1, DIAGONAL, (0, 0), (0, 0), "the value differs"),
+], ids=["optimum", "negative-flow", "row-sum", "column-sum", "infeasible", "slack", "value"])
+def test_the_certificate_refuses_each_defect(value, flow, u, v, defect):
+    args = (SWAP_COST, (1, 1), (1, 1), value, flow, u, v)
+    if defect is None:
+        transport._certify(*args)
+    else:
+        with pytest.raises(InvariantViolation, match=re.escape(defect)):
+            transport._certify(*args)
