@@ -155,8 +155,8 @@ def _scenario_partition(instance, ctx, options):
     actual = max((x for x in osc if x is not None), default=ctx.number(0))
     coarse_cost = partition_discretize(cost, part, ctx)
     # beta is the certified value of the same solve as alpha.
-    alpha = beta = solve_alpha(cost, mu, nu, ctx).value
-    alpha0 = beta0 = solve_alpha(coarse_cost, mu, nu, ctx).value
+    alpha = solve_alpha(cost, mu, nu, ctx).value
+    alpha0 = solve_alpha(coarse_cost, mu, nu, ctx).value
     result = {
         "cells": [list(mask_indices(c)) for c in part.cells],
         "representatives": list(part.representatives),
@@ -164,14 +164,12 @@ def _scenario_partition(instance, ctx, options):
         "oscillation_max": actual,
         "alpha": alpha,
         "alpha_discretized": alpha0,
-        "beta": beta,
-        "beta_discretized": beta0,
+        "beta": alpha,
+        "beta_discretized": alpha0,
     }
     checks = [
         _check("oscillation_within_eps", ctx.leq(actual, eps)),
         _check("alpha_transfer_within_eps", ctx.leq(abs(alpha - alpha0), eps)),
-        _check("beta_transfer_within_eps", ctx.leq(abs(beta - beta0), eps)),
-        _check("alpha_below_beta_plus_3eps", ctx.leq(alpha, beta + 3 * actual)),
     ]
     return result, checks
 
@@ -255,10 +253,7 @@ def _scenario_arveson(instance, ctx, options):
             "alpha_star": outcome.alpha_star,
             "maximizing_coupling": outcome.coupling.matrix,
         }
-        checks = [
-            _check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star)),
-            _coupling_checks(ctx, "maximizing_coupling_marginals", outcome.coupling),
-        ]
+        checks = [_check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star))]
     return result, checks
 
 
@@ -280,7 +275,6 @@ def _scenario_wasserstein(instance, ctx, options):
     checks = [
         _check("duality_gap_zero", ctx.eq(report.primal_value, report.dual_value)),
         _check("witness_is_1_lipschitz", not violations, violations=list(violations)),
-        _coupling_checks(ctx, "coupling_marginals", report.coupling),
     ]
     return result, checks
 

@@ -5,7 +5,9 @@ For the indicator cost 1_H of a union H of rectangles, alpha*(1_H), the
 largest coupling mass of H, equals the least mu(a) + nu(b) over covers
 H inside (a x Y) union (X x b).  The minimal cover is the beta* witness of
 the one alpha* solve, rounded to 0/1 (see ``rounded_cover``), so the cover
-is an exact certificate of the solved value.
+is an exact certificate of the solved value.  The truncation bound adds
+the tail's mass to alpha of a finite head, whose dual value beta is the
+same certified number.
 """
 from __future__ import annotations
 
@@ -159,8 +161,6 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
 class TruncationReport:
     head_count: int
     head_alpha: Number
-    head_beta: Number
-    duality_gap: Number
     tail_mass: Number
     tail_below_eps: bool
     full_alpha: Number
@@ -175,30 +175,26 @@ def truncation_duality(
 
     With V the union of rectangles 0..n and the tail the rows of the
     remaining rectangles, every coupling P satisfies
-    P(H) <= P(V) + mu(tail rows), so
-    alpha(H) <= alpha(V) + tail mass = beta(V) + gap + tail mass.
-    The report states the certified bound, whether the tail mass is below
-    eps, and the directly solved alpha(H) for comparison.
+    P(H) <= P(V) + mu(tail rows), so alpha(H) <= alpha(V) + tail mass.
+    alpha(V) is certified on the lattice and equals beta(V), so the bound
+    has no duality gap.  The report states the bound, whether the tail mass
+    is below eps, and the directly solved alpha(H) for comparison.
     """
     ctx, mu, nu, eps = read_arguments(
         ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)), (eps, "eps", ())
     )
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
-    # beta(V) is the certified value of the alpha(V) solve.
     head = indicator_cost(family.head(n + 1), UNION)
-    head_alpha = head_beta = solve_alpha(head, mu, nu, ctx).value
+    head_alpha = solve_alpha(head, mu, nu, ctx).value
     tail_rows = [a for a, _ in family.rects[n + 1 :]]
     tail_union = mask_union(*tail_rows) if tail_rows else empty_mask(family.nx)
     tail_mass = mask_mass(mu, tail_union)
     full_alpha = solve_alpha(indicator_cost(family, UNION), mu, nu, ctx).value
-    gap = head_alpha - head_beta
-    certified = head_beta + gap + tail_mass
+    certified = head_alpha + tail_mass
     return TruncationReport(
         head_count=n + 1,
         head_alpha=head_alpha,
-        head_beta=head_beta,
-        duality_gap=gap,
         tail_mass=tail_mass,
         tail_below_eps=tail_mass < eps,
         full_alpha=full_alpha,

@@ -288,18 +288,23 @@ def _certify(cost, mu, nu, value, flow, u, v):
 # ---------------------------------------------------------------------------
 
 def _solve(c, mu, nu, side, ctx):
-    """One certified simplex run for one side: the primal report and the context used.
+    """One certified simplex run for one side, as a primal report.
 
     The lower side minimizes sum P*c.  The upper side maximizes it as
     -alpha(-c), so its value and potentials are negated back here.  The
-    simplex runs on the integer lattice described in the module docstring.
+    simplex runs on the integer lattice described in the module docstring,
+    and ``_certify`` proves its optimum there, so no caller re-checks the
+    coupling, the potentials or the value.
     """
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     cost_scale, cost = to_lattice(*values)
-    mass_scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
-    # Float marginals, read exactly, can miss each other's total by a
-    # rounding.  The exact gap goes to nu's largest entry (a pushforward nu
-    # often ends in 0), so the totals agree; with equal totals nothing moves.
+    mass_scale, masses = to_lattice(mu, nu)
+    # A float weight within the tolerance below 0 is read as 0, as
+    # lp.simplex_maximize reads a right-hand side.  Float marginals, read
+    # exactly, can also miss each other's total by a rounding.  The exact gap
+    # goes to nu's largest entry (a pushforward nu often ends in 0), so the
+    # totals agree; with equal totals nothing moves.
+    mass_mu, mass_nu = (tuple(max(x, 0) for x in w) for w in masses)
     total_mu, total_nu = fold_sum(mass_mu), fold_sum(mass_nu)
     largest = max(range(len(mass_nu)), key=mass_nu.__getitem__)
     closed = mass_nu[largest] + total_mu - total_nu
@@ -317,23 +322,22 @@ def _solve(c, mu, nu, side, ctx):
     (value,) = from_lattice((value,), cost_scale * mass_scale, ctx.mode)
     matrix = tuple(from_lattice(row, mass_scale, ctx.mode) for row in matrix)
     u, v = from_lattice(u, cost_scale, ctx.mode), from_lattice(v, cost_scale, ctx.mode)
-    report = SolveReport(
+    return SolveReport(
         value=value,
         arithmetic_mode=ctx.mode,
         coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
         potentials=PotentialPair(f=u, g=v, side=side),
     )
-    return report, ctx
 
 
 def solve_alpha(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Exact minimum of sum P*c over couplings, with both optimality witnesses."""
-    return _solve(c, mu, nu, LOWER, ctx)[0]
+    return _solve(c, mu, nu, LOWER, ctx)
 
 
 def solve_alpha_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Exact maximum of sum P*c, computed as -alpha(-c)."""
-    return _solve(c, mu, nu, UPPER, ctx)[0]
+    return _solve(c, mu, nu, UPPER, ctx)
 
 
 def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
@@ -341,21 +345,22 @@ def solve_beta(c, mu, nu, ctx: Context | None = None) -> SolveReport:
 
     The certified alpha solve, whose potentials attain it: beta = alpha.
     """
-    return _solve(c, mu, nu, LOWER, ctx)[0]
+    return _solve(c, mu, nu, LOWER, ctx)
 
 
 def solve_beta_star(c, mu, nu, ctx: Context | None = None) -> SolveReport:
     """Best separable upper bound, the certified alpha* solve (= -beta(-c))."""
-    return _solve(c, mu, nu, UPPER, ctx)[0]
+    return _solve(c, mu, nu, UPPER, ctx)
 
 
 def check_chain(c, mu, nu, ctx: Context | None = None) -> ChainReport:
     """All four values in the order (beta, alpha, alpha*, beta*).
 
-    beta and beta* are the certified alpha and alpha*, so ``ok`` states
-    whether alpha <= alpha* within the mode tolerance.
+    beta and beta* are the certified alpha and alpha*.  Both are optima over
+    one lattice polytope, each rounded once by a monotone rounding, so
+    ``ok``, alpha <= alpha*, is exact in both modes.
     """
-    low, ctx = _solve(c, mu, nu, LOWER, ctx)
-    high, _ = _solve(c, mu, nu, UPPER, ctx)
+    low = _solve(c, mu, nu, LOWER, ctx)
+    high = _solve(c, mu, nu, UPPER, ctx)
     return ChainReport(beta=low.value, alpha=low.value, alpha_star=high.value,
-                       beta_star=high.value, ok=ctx.leq(low.value, high.value))
+                       beta_star=high.value, ok=low.value <= high.value)

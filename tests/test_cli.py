@@ -810,6 +810,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
         load_instance(write(tmp_path, doc))
 
 
+# solve is absent: its simplex runs are pinned by the benchmark's tracer test.
 @pytest.mark.parametrize("verb, flags, runs", [
     ("chain", (), 2),
     ("partition", ("--eps", "12", "--lipschitz", "24"), 2),
@@ -817,6 +818,8 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("approx", (), 5),
     ("cover", (), 1),
     ("arveson", (), 1),
+    ("wasserstein", (), 1),
+    ("oracle-check", (), 2),
 ])
 def test_verbs_solve_each_cost_and_side_once(tmp_path, simplex_runs, verb, flags, runs):
     path = str(tmp_path / "g.json")
@@ -914,6 +917,25 @@ def test_float_costs_near_1e9_keep_beta_equal_to_alpha(tmp_path, capsys, seed):
                 isinstance(result[name], float)
                 for name in ("beta", "alpha", "alpha_star", "beta_star")
             )
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_a_float_weight_just_below_0_is_read_as_0(tmp_path, capsys, verb):
+    # Loading accepts a weight within the tolerance below 0; the solve must
+    # then certify, not fail its own certificate.  oracle-check enumerates
+    # at most 16 cells, so it runs on a 4x4 instance.
+    size = "4x4" if verb == "oracle-check" else "6x6"
+    path = str(tmp_path / "g.json")
+    assert run(["gen", "--seed", "4", "--size", size, "--mode", "float", "-o", path]) == 0
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    weights = doc["space_x"]["weights"]
+    low, high = weights.index(min(weights)), weights.index(max(weights))
+    weights[high] += weights[low]
+    weights[low] = -1e-13
+    flags = ["--eps", "12", "--lipschitz", "24"] if verb == "partition" else []
+    code, report = run_report([verb, write(tmp_path, doc), *flags], capsys)
+    assert code == 0, report["checks"]
 
 
 NEEDS_COST = "error: this scenario needs a 'cost' field in the instance\n"
@@ -1104,13 +1126,13 @@ GOLDEN = {
     ("4x4", "float", "approx"):
         (0, "", "282df978ad99fef27f3915392b2869e8ace66f8bb49827f1f90d6d2ef146e1dd"),
     ("4x4", "rational", "partition --eps 12 --lipschitz 24"):
-        (0, "", "1c736825b34ed349f09e6429974e316538d66fb251e7048f323df96e07afe7f7"),
+        (0, "", "f026548429c48c75c37a7b8bec1f8b896efa109b0f48b3126d25a077a1c03999"),
     ("4x4", "float", "partition --eps 12 --lipschitz 24"):
-        (0, "", "58f9ba5d642cfc5abf2896efda5ad3eb76ea61ea00ea6bf6cfcf268d9a102ff3"),
+        (0, "", "9c79f46e703fee58c6d8db93b2fd248d773e021659808aa9dea30e1945d907f8"),
     ("4x4", "rational", "partition --eps 1 --lipschitz 24"):
-        (0, "", "1c736825b34ed349f09e6429974e316538d66fb251e7048f323df96e07afe7f7"),
+        (0, "", "f026548429c48c75c37a7b8bec1f8b896efa109b0f48b3126d25a077a1c03999"),
     ("4x4", "float", "partition --eps 1 --lipschitz 24"):
-        (0, "", "58f9ba5d642cfc5abf2896efda5ad3eb76ea61ea00ea6bf6cfcf268d9a102ff3"),
+        (0, "", "9c79f46e703fee58c6d8db93b2fd248d773e021659808aa9dea30e1945d907f8"),
     ("4x4", "rational", "extend"):
         (0, "", "624ed740776381dfa566f9f7500db3df60601b336f24bd555c13274b6dbdacf9"),
     ("4x4", "float", "extend"):
@@ -1120,13 +1142,13 @@ GOLDEN = {
     ("4x4", "float", "cover"):
         (0, "", "a4b8359507d94b8d4f7749383d2f1cee6a67052d4af9062fc6cfed91f2866db6"),
     ("4x4", "rational", "arveson"):
-        (0, "", "a35af6ad6f8d4b5c0d25f30065380fb3b58cfdf99cd510a0cccfd63416dced0a"),
+        (0, "", "3608d284eb5be7519cce4c1894c15b72973442d0f18ba54026e9d9f6425748ad"),
     ("4x4", "float", "arveson"):
-        (0, "", "c965c4c7ada452baa455c41d1b4c36f0d72ad9145a9fda5c8071a8cb597e936a"),
+        (0, "", "c218443e8a9d8083e2d6c7977927c2d683861de7d24fcb14647e07baae4ec186"),
     ("4x4", "rational", "wasserstein"):
-        (0, "", "4759b719f26828a3d96825aaa08ec856c9d535dbcf4b2cdad3e24a8e593e6a99"),
+        (0, "", "a47db1fd3e84d06015f9b7ad86bfc4be7795d54cc79241d6b70014f764a1dac4"),
     ("4x4", "float", "wasserstein"):
-        (0, "", "8cbe1bf5b6a7a826ec771602d0bf33a56e5523766464a167b5d26eb3ee499fa7"),
+        (0, "", "995a5bfe8521db6f7a1df43d690c3392d3acdd53d3d115299abb242724e4d4ac"),
     ("4x4", "rational", "oracle-check"):
         (0, "", "114407d4e23499c13eddce7197176b3a27f7beb3f2054b7d2529c0851aff74df"),
     ("4x4", "float", "oracle-check"):
@@ -1144,13 +1166,13 @@ GOLDEN = {
     ("9x3", "float", "approx"):
         (0, "", "c39a928e29dc16e86cf5d52595d82f073da3e3210484f20231987e17f66f51b2"),
     ("9x3", "rational", "partition --eps 12 --lipschitz 24"):
-        (0, "", "fce0d93d081b9a9c4fc4849936936192b17aed6846e7b82008937e806de84c89"),
+        (0, "", "e2566593a248fdffa77572bc6f5f3c466455a321943d1db2b508ff03ba006529"),
     ("9x3", "float", "partition --eps 12 --lipschitz 24"):
-        (0, "", "3e9074bcb7eda22d2625bc9c2406e2843e605b69a68c3a11d4ed894989fc1aaf"),
+        (0, "", "2bee0e4aa1ba9e0e18434bc490ec09b948224200e1ba8b7cf1dd496d7f8692e6"),
     ("9x3", "rational", "partition --eps 1 --lipschitz 24"):
-        (0, "", "ba80e13acbf28aff0dee264f492ed2c2267a62ca9bbf4dae40df63c7a7bebf62"),
+        (0, "", "1a1e6cefe4194e8b5f79eea8421a0d4b68b7c626cc4f3f33078b8d24510d5e87"),
     ("9x3", "float", "partition --eps 1 --lipschitz 24"):
-        (0, "", "9ea47be638d80ae7d31aacfef9b1981838908e68c22399209d42d20e1b1e2733"),
+        (0, "", "48f09c26459d28e4ef40c37a3e659733a2b15c27943d72049d28af72c7b4ac3d"),
     ("9x3", "rational", "extend"):
         (0, "", "28be67d6f1d0c953f8caead2761e824f44519d254451dd715d578c8a3530e447"),
     ("9x3", "float", "extend"):
@@ -1160,9 +1182,9 @@ GOLDEN = {
     ("9x3", "float", "cover"):
         (0, "", "46be8ffd2a575f31a4ad3c4dcfdbc0ac70d5d3b13815b577fb42210bd6c85229"),
     ("9x3", "rational", "arveson"):
-        (0, "", "277b5337783ddec21310f118048d2914c124c3ce0a28f6073d7a558e8b85f6c0"),
+        (0, "", "b62d64d795c5e0965065f35408bf03ba8092a2569c53acbb3e1b807662c975cf"),
     ("9x3", "float", "arveson"):
-        (0, "", "f615578c73c890976520b753b76d05e82296b9df673b60b5d8210bbeeec00488"),
+        (0, "", "dca82f5548f098b61638a3a44f8cfba4c475a2748c75b96da348706813e34fe5"),
     ("9x3", "rational", "wasserstein"):
         (2, "error: wasserstein needs mu and nu on one point set; the spaces differ in size\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("9x3", "float", "wasserstein"):

@@ -183,7 +183,7 @@ def test_geometric_tails_certify_within_two_eps():
         report = ot.truncation_duality(family, mu, nu, cut, 2 * eps)
         assert report.tail_below_eps
         assert report.bound_holds
-        assert report.full_alpha <= report.head_beta + 2 * eps
+        assert report.full_alpha <= report.head_alpha + 2 * eps
 
 
 def test_truncation_solves_head_and_full_union_once_each(simplex_runs):
@@ -193,7 +193,7 @@ def test_truncation_solves_head_and_full_union_once_each(simplex_runs):
     family = random_rectangles(rng, 4, 4, 3)
     report = ot.truncation_duality(family, mu, nu, 0, F(1, 10))
     assert len(simplex_runs) == 2
-    assert report.head_alpha == report.head_beta
+    assert report.certified_bound == report.head_alpha + report.tail_mass
 
 
 def test_truncation_index_checked():

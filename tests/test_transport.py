@@ -280,6 +280,16 @@ def test_float_mode_agrees_with_rational_mode(instance):
         assert ot.coupling_defects(solver(*args).coupling).ok
 
 
+def test_a_float_weight_just_below_0_is_read_as_0():
+    # -1e-13 is within the float tolerance of 0, so the marginals load; the
+    # lattice solve reads that weight as 0 and certifies.
+    mu = (-1e-13, 0.5 + 1e-13, 0.5)
+    low = ot.solve_alpha(((0, 1), (1, 0), (2, 3)), mu, (0.25, 0.75))
+    high = ot.solve_alpha_star(((0, 1), (1, 0), (2, 3)), mu, (0.25, 0.75))
+    assert (low.value, high.value) == (1.25, 1.75)
+    assert low.coupling.matrix[0] == high.coupling.matrix[0] == (0.0, 0.0)
+
+
 def test_coupling_defects_flags_bad_marginals():
     bad = ot.Coupling(matrix=((F(1, 2), 0), (0, F(1, 4))), mu=HALF, nu=HALF)
     defects = ot.coupling_defects(bad)
