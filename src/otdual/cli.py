@@ -40,7 +40,7 @@ from .rectangles import (
     indicator_cost,
     rounded_cover,
 )
-from .spaces import mask_indices, mask_mass
+from .spaces import mask_indices
 from .transport import (
     check_chain,
     coupling_defects,
@@ -246,15 +246,13 @@ def _scenario_arveson(instance, ctx, options):
                 "value": outcome.value,
             }
         }
-        null = ctx.is_zero(mask_mass(mu, outcome.a)) and ctx.is_zero(mask_mass(nu, outcome.b))
-        checks = [_check("cover_is_null", null)]
     else:
         result = {
             "alpha_star": outcome.alpha_star,
             "maximizing_coupling": outcome.coupling.matrix,
         }
-        checks = [_check("alpha_star_positive", not ctx.is_zero(outcome.alpha_star))]
-    return result, checks
+    # arveson_witness branches on the exact cover value; a check could only restate it.
+    return result, []
 
 
 def _scenario_wasserstein(instance, ctx, options):
@@ -273,7 +271,7 @@ def _scenario_wasserstein(instance, ctx, options):
         "coupling": report.coupling.matrix,
     }
     checks = [
-        _check("duality_gap_zero", ctx.eq(report.primal_value, report.dual_value)),
+        _check("duality_gap_zero", report.primal_value == report.dual_value),
         _check("witness_is_1_lipschitz", not violations, violations=list(violations)),
     ]
     return result, checks
@@ -287,16 +285,16 @@ def _scenario_oracle_check(instance, ctx, options):
     high = solve_alpha_star(cost, mu, nu, ctx).value
     oracle_low = oracle_enumerate(cost, mu, nu, "alpha", cap=cap, ctx=ctx)
     oracle_high = oracle_enumerate(cost, mu, nu, "alpha_star", cap=cap, ctx=ctx)
+    # Both routes round the exact optimum of one lattice problem once.
     exact = low == oracle_low and high == oracle_high
-    ok = ctx.eq(low, oracle_low) and ctx.eq(high, oracle_high)
     result = {
         "alpha": low,
         "alpha_oracle": oracle_low,
         "alpha_star": high,
         "alpha_star_oracle": oracle_high,
-        "match": "exact" if exact else ("within-tolerance" if ok else "mismatch"),
+        "match": "exact" if exact else "mismatch",
     }
-    return result, [_check("solver_matches_oracle", ok)]
+    return result, [_check("solver_matches_oracle", exact)]
 
 
 # The message naming each instance field a verb can need, when it is absent.

@@ -6,8 +6,9 @@ m+n-1 cells that is acyclic), solving the unique tree flow by leaf
 stripping, and keeping the nonnegative ones.  Degenerate bases are
 included; distinct extreme couplings are deduplicated by matrix.
 
-This code path shares nothing with the network simplex and exists to
-check it.
+It runs on ``int``s: the cost read by ``to_lattice`` and the marginals as
+every solve reads them, so it rounds the simplex's exact optimum once.
+Beyond that reading it shares nothing with the network simplex it checks.
 """
 from __future__ import annotations
 
@@ -15,14 +16,14 @@ from collections import deque
 from itertools import combinations
 
 from .errors import InstanceTooLarge, UnknownObjective
-from .numeric import Context, Number, fold_sum, read_arguments
+from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
 from .spaces import Matrix
-from .transport import ALPHA, ALPHA_STAR, _validated_inputs
+from .transport import ALPHA, ALPHA_STAR, _lattice_marginals, _validated_inputs
 
 DEFAULT_CELL_CAP = 16
 
 
-def _tree_flow(cells, mu, nu, ctx):
+def _tree_flow(cells, mu, nu):
     """Unique flow on a spanning tree, or None if some flow is negative."""
     m, n = len(mu), len(nu)
     degree = [0] * (m + n)
@@ -44,9 +45,9 @@ def _tree_flow(cells, mu, nu, ctx):
             continue
         i, j = arc
         q = s[i] if node < m else d[j]
-        if not ctx.nonneg(q):
+        if q < 0:
             return None
-        flow[arc] = q if q > 0 else ctx.number(0)
+        flow[arc] = q
         s[i] -= q
         d[j] -= q
         used.add(arc)
@@ -54,22 +55,16 @@ def _tree_flow(cells, mu, nu, ctx):
             degree[end] -= 1
             if degree[end] == 1:
                 leaves.append(end)
-    if len(used) != len(cells):
-        return None
+    # A spanning tree strips to its last cell, so every cell has its flow.
     return flow
 
 
-def transport_polytope_vertices(
-    mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
-) -> tuple[Matrix, ...]:
-    """All distinct extreme couplings of the polytope with marginals mu, nu."""
-    ctx, mu, nu = read_arguments(ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)))
+def _lattice_vertices(mu, nu, cap):
+    """Each basic feasible flow for integer marginals mu, nu, as a matrix."""
     m, n = len(mu), len(nu)
     if m * n > cap:
         raise InstanceTooLarge(f"{m}x{n} = {m * n} cells exceeds the cap of {cap}")
     cells = [(i, j) for i in range(m) for j in range(n)]
-    zero = ctx.number(0)
-    seen = {}
     for subset in combinations(cells, m + n - 1):
         parent = list(range(m + n))
 
@@ -88,15 +83,19 @@ def transport_polytope_vertices(
             parent[ri] = rj
         if not acyclic:
             continue
-        flow = _tree_flow(subset, mu, nu, ctx)
-        if flow is None:
-            continue
-        matrix = [[zero] * n for _ in range(m)]
-        for (i, j), f in flow.items():
-            matrix[i][j] = f
-        key = tuple(tuple(r) for r in matrix)
-        seen.setdefault(key, key)
-    return tuple(seen.values())
+        flow = _tree_flow(subset, mu, nu)
+        if flow is not None:
+            yield tuple(tuple(flow.get((i, j), 0) for j in range(n)) for i in range(m))
+
+
+def transport_polytope_vertices(
+    mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
+) -> tuple[Matrix, ...]:
+    """All distinct extreme couplings of the polytope with marginals mu, nu."""
+    ctx, mu, nu = read_arguments(ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)))
+    scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
+    vertices = _lattice_vertices(mass_mu, mass_nu, cap)
+    return tuple(dict.fromkeys(tuple(from_lattice(r, scale, ctx.mode) for r in v) for v in vertices))
 
 
 def oracle_enumerate(
@@ -106,9 +105,11 @@ def oracle_enumerate(
     if objective not in (ALPHA, ALPHA_STAR):
         raise UnknownObjective(f"objective must be 'alpha' or 'alpha_star', got {objective!r}")
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
-    vertices = transport_polytope_vertices(mu, nu, cap=cap, ctx=ctx)
-    totals = [
-        fold_sum(p * x for prow, crow in zip(v, values) for p, x in zip(prow, crow))
-        for v in vertices
-    ]
-    return min(totals) if objective == ALPHA else max(totals)
+    cost_scale, cost = to_lattice(*values)
+    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
+    totals = (
+        fold_sum(p * x for prow, crow in zip(v, cost) for p, x in zip(prow, crow))
+        for v in _lattice_vertices(mass_mu, mass_nu, cap)
+    )
+    best = min(totals) if objective == ALPHA else max(totals)
+    return from_lattice((best,), cost_scale * mass_scale, ctx.mode)[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .costs import CostMatrix
 from .errors import IndexOutOfRange, InvariantViolation, ValidationError
-from .numeric import Context, Number, read_arguments, take_arguments
+from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, take_arguments
 from .spaces import (
     Mask,
     Matrix,
@@ -23,7 +23,7 @@ from .spaces import (
     mask_mass,
     mask_union,
 )
-from .transport import Coupling, SolveReport, solve_alpha, solve_alpha_star
+from .transport import Coupling, SolveReport, _lattice_marginals, solve_alpha, solve_alpha_star
 
 UNION = "union"
 INTERSECTION = "intersection"
@@ -112,16 +112,19 @@ def rounded_cover(family: RectangleFamily, best: SolveReport, ctx: Context) -> C
     integers with f + g >= 1_H >= 0 on every cell.  With F = min f, the sets
     a = {f - F >= 1} and b = {g + F >= 1} cover H, and 1_a <= f - F,
     1_b <= g + F, so mu(a) + nu(b) <= mu(f) + nu(g) = alpha*(1_H); weak
-    duality gives equality.  Both facts are re-verified before returning.
+    duality gives equality.  Both facts are re-verified before returning; the
+    value, the solve's lattice mass of a and b rounded once, equals alpha*.
     """
     f, g = best.potentials.f, best.potentials.g
     low = min(f)
     a = tuple(x - low >= 1 for x in f)
     b = tuple(y + low >= 1 for y in g)
-    value = mask_mass(best.coupling.mu, a) + mask_mass(best.coupling.nu, b)
     if not covers(family, a, b):
         raise InvariantViolation("rounded potentials fail to cover the family; unreachable")
-    if not ctx.eq(value, best.value):
+    scale, mass_mu, mass_nu = _lattice_marginals(best.coupling.mu, best.coupling.nu)
+    mass = fold_sum(w for w, inside in zip(mass_mu + mass_nu, a + b) if inside)
+    (value,) = from_lattice((mass,), scale, ctx.mode)
+    if value != best.value:
         raise InvariantViolation("rounded cover's value differs from alpha*; unreachable")
     return Cover(a=a, b=b, value=value)
 
@@ -152,7 +155,7 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
     best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
     cover = rounded_cover(family, best, ctx)
-    if ctx.is_zero(cover.value):
+    if cover.value == 0:
         return cover
     return NotNullReport(alpha_star=best.value, coupling=best.coupling)
 

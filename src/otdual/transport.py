@@ -135,6 +135,22 @@ def _validated_inputs(c, mu, nu, ctx):
     return values, mu, nu, ctx
 
 
+def _lattice_marginals(mu, nu):
+    """Checked marginals as every route reads them: ``(scale, mass_mu, mass_nu)``
+    on one integer lattice.  A float weight within the tolerance below 0 is
+    read as 0, and the exact gap between float totals goes to nu's largest
+    entry (a pushforward nu often ends in 0), so the totals agree."""
+    scale, masses = to_lattice(mu, nu)
+    mass_mu, mass_nu = (tuple(max(x, 0) for x in w) for w in masses)
+    total_mu, total_nu = fold_sum(mass_mu), fold_sum(mass_nu)
+    largest = max(range(len(mass_nu)), key=mass_nu.__getitem__)
+    closed = mass_nu[largest] + total_mu - total_nu
+    if closed < 0:
+        raise InfeasibleMarginals(f"the totals of mu and nu, {total_mu} and {total_nu}"
+                                  f" on one scale, differ by more than nu[{largest}]")
+    return scale, mass_mu, (*mass_nu[:largest], closed, *mass_nu[largest + 1:])
+
+
 def _northwest_basis(mu, nu):
     """Northwest-corner start: flows on m+n-1 basic cells forming a spanning tree."""
     m, n = len(mu), len(nu)
@@ -298,20 +314,7 @@ def _solve(c, mu, nu, side, ctx):
     """
     values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
     cost_scale, cost = to_lattice(*values)
-    mass_scale, masses = to_lattice(mu, nu)
-    # A float weight within the tolerance below 0 is read as 0, as
-    # lp.simplex_maximize reads a right-hand side.  Float marginals, read
-    # exactly, can also miss each other's total by a rounding.  The exact gap
-    # goes to nu's largest entry (a pushforward nu often ends in 0), so the
-    # totals agree; with equal totals nothing moves.
-    mass_mu, mass_nu = (tuple(max(x, 0) for x in w) for w in masses)
-    total_mu, total_nu = fold_sum(mass_mu), fold_sum(mass_nu)
-    largest = max(range(len(mass_nu)), key=mass_nu.__getitem__)
-    closed = mass_nu[largest] + total_mu - total_nu
-    if closed < 0:
-        raise InfeasibleMarginals(f"the totals of mu and nu, {total_mu} and {total_nu}"
-                                  f" on one scale, differ by more than nu[{largest}]")
-    mass_nu = (*mass_nu[:largest], closed, *mass_nu[largest + 1:])
+    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
     upper = side == UPPER
     if upper:
         cost = negate_matrix(cost)

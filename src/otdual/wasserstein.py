@@ -4,8 +4,8 @@ The primal route treats the metric as a transport cost and minimizes over
 couplings (network simplex).  The dual route maximizes mu(f) - nu(f) over
 1-Lipschitz vectors f, i.e. the LP with constraints f(x) - f(z) <= d(x, z)
 on every ordered pair, solved by the dense simplex after pinning f at the
-first point.  On finite spaces the two values agree (exactly in rational
-mode); both are reported so the agreement stays checkable.
+first point.  On finite spaces the two values agree exactly, in both modes;
+both are reported so the agreement stays checkable.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 from .lp import simplex_maximize
 from .numeric import RATIONAL, Context, Number, fold_sum, from_ratios, read_arguments
 from .spaces import Matrix, Vector
-from .transport import Coupling, solve_alpha
+from .transport import Coupling, _lattice_marginals, _validated_inputs, solve_alpha
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,20 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     so f is pinned to 0 at point 0 and shifted into the box
     0 <= f_i + d(i,0) <= 2 d(i,0), which makes the origin feasible for the
     slack-basis simplex (the right-hand sides are nonnegative exactly by
-    the triangle inequality).  The LP is built from the entries read
-    exactly, a finite float as the dyadic rational it is, and solved in
-    rational arithmetic; float mode rounds the value and each f_i once.
+    the triangle inequality).  mu and nu are checked as the solvers check
+    them, the objective is their difference on the solve's lattice, and the
+    metric is read exactly, a finite float as the dyadic rational it is.  The
+    LP is solved exactly; float mode rounds the value, alpha, and each f_i once.
     """
     ctx, d, mu, nu = read_arguments(
         ctx, (metric, "metric", ("n", "n")), (mu, "mu", ("n",)), (nu, "nu", ("n",))
     )
+    _validated_inputs(d, mu, nu, ctx)  # InfeasibleMarginals unless both are probabilities
     n = len(mu)
-    if n == 1:
-        zero = ctx.number(0)
-        return zero, (zero,)
     zero, one = Fraction(0), Fraction(1)
     d = [tuple(map(Fraction, row)) for row in d]
-    p = [Fraction(a) - Fraction(b) for a, b in zip(mu, nu)]
+    scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
+    p = [a - b for a, b in zip(mass_mu, mass_nu)]
 
     lhs = []
     rhs = []
@@ -72,7 +72,7 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
         rhs.append(2 * d[i][0])
     _, g = simplex_maximize(p[1:], lhs, rhs, RATIONAL)
     f = (zero,) + tuple(g[i - 1] - d[i][0] for i in range(1, n))
-    value = fold_sum(pi * fi for pi, fi in zip(p, f))
+    value = fold_sum(pi * fi for pi, fi in zip(p, f)) / scale
     value, *f = from_ratios((x.as_integer_ratio() for x in (value, *f)), ctx.mode)
     return value, tuple(f)
 

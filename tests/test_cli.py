@@ -898,8 +898,9 @@ def test_solver_invariant_failure_exits_1(tmp_path, capsys, monkeypatch, verb, p
 
 @pytest.mark.parametrize("seed", range(10))
 def test_float_costs_near_1e9_keep_beta_equal_to_alpha(tmp_path, capsys, seed):
-    # The reported beta and beta* are alpha and alpha* rounded once, so no
-    # absolute tolerance judges a recomputed dual value at this scale.
+    # The reported beta and beta* are alpha and alpha* rounded once, and the
+    # oracle rounds the same lattice optimum once, so no absolute tolerance
+    # judges a recomputed value at this scale.
     path = str(tmp_path / "g.json")
     assert run(["gen", "--seed", str(seed), "--size", "4x4", "--mode", "float", "-o", path]) == 0
     with open(path, encoding="utf-8") as handle:
@@ -907,7 +908,7 @@ def test_float_costs_near_1e9_keep_beta_equal_to_alpha(tmp_path, capsys, seed):
     doc["cost"]["matrix"] = [[x * 1e9 for x in row] for row in doc["cost"]["matrix"]]
     path = write(tmp_path, doc)
     capsys.readouterr()
-    for verb in ("solve", "chain", "approx"):
+    for verb in ("solve", "chain", "approx", "oracle-check"):
         code, report = run_report([verb, path], capsys)
         assert code == 0, (verb, report["checks"])
         if verb == "solve":
@@ -917,6 +918,49 @@ def test_float_costs_near_1e9_keep_beta_equal_to_alpha(tmp_path, capsys, seed):
                 isinstance(result[name], float)
                 for name in ("beta", "alpha", "alpha_star", "beta_star")
             )
+
+
+@pytest.mark.parametrize("verb, size, seed", [
+    *((verb, size, seed) for verb in ("cover", "arveson")
+      for size, seed in (("9x9", 0), ("9x9", 1), ("9x9", 3), ("12x12", 2))),
+    *(("wasserstein", size, seed) for size, seed in (
+        ("4x4", 1), ("4x4", 2), ("6x6", 2), ("9x9", 3), ("9x9", 4), ("12x12", 2))),
+    ("oracle-check", "4x4", 1), ("oracle-check", "4x4", 4),
+])
+def test_float_routes_agree_exactly_under_tolerance_0(tmp_path, capsys, verb, size, seed):
+    # The cover value, the Lipschitz dual and the oracle read the float
+    # marginals onto the simplex's lattice and round its exact optimum once,
+    # so no tolerance is needed to match the certified value.
+    path = str(tmp_path / "g.json")
+    assert run(["gen", "--seed", str(seed), "--size", size, "--mode", "float", "-o", path]) == 0
+    code, report = run_report([verb, path, "--tolerance", "0"], capsys)
+    assert code == 0, report["checks"]
+    result = report["result"]
+    if verb == "cover":
+        assert result["cover_value"] == result["alpha_star"]
+    elif verb == "wasserstein":
+        assert result["beta_lipschitz"] == result["alpha"]
+    elif verb == "oracle-check":
+        assert result["match"] == "exact"
+
+
+ARVESON_TINY_CELL = {
+    "arithmetic": "float",
+    "space_x": {"weights": [1e-12, 0.999999999999]},
+    "space_y": {"weights": [0.5, 0.5]},
+    "rectangles": [{"x": [0], "y": [0]}],
+}
+
+
+@pytest.mark.parametrize("mode, alpha_star", [("rational", "1/1000000000000"), ("float", 1e-12)])
+def test_arveson_decides_a_tiny_union_as_rational_mode_does(tmp_path, capsys, mode, alpha_star):
+    # The union {(0, 0)} can carry mass 1e-12, below the float tolerance:
+    # the verdict follows the exact cover value, not the tolerance.
+    code, report = run_report(["arveson", write(tmp_path, ARVESON_TINY_CELL), "--mode", mode],
+                              capsys)
+    assert code == 0 and report["checks"] == []
+    assert report["result"]["alpha_star"] == alpha_star
+    assert "null_cover" not in report["result"]
 
 
 @pytest.mark.parametrize("verb", list(cli._VERBS))
@@ -1142,9 +1186,9 @@ GOLDEN = {
     ("4x4", "float", "cover"):
         (0, "", "a4b8359507d94b8d4f7749383d2f1cee6a67052d4af9062fc6cfed91f2866db6"),
     ("4x4", "rational", "arveson"):
-        (0, "", "3608d284eb5be7519cce4c1894c15b72973442d0f18ba54026e9d9f6425748ad"),
+        (0, "", "ec8a8deaad64dca50ee1813799d943eaad4e984ea7a158a286c849851b4c8bc7"),
     ("4x4", "float", "arveson"):
-        (0, "", "c218443e8a9d8083e2d6c7977927c2d683861de7d24fcb14647e07baae4ec186"),
+        (0, "", "f6933af7b7eaf4b3eaf8d73bef49ae9df0127be07e601ea6b574d9dbbcb03a23"),
     ("4x4", "rational", "wasserstein"):
         (0, "", "a47db1fd3e84d06015f9b7ad86bfc4be7795d54cc79241d6b70014f764a1dac4"),
     ("4x4", "float", "wasserstein"):
@@ -1152,7 +1196,7 @@ GOLDEN = {
     ("4x4", "rational", "oracle-check"):
         (0, "", "114407d4e23499c13eddce7197176b3a27f7beb3f2054b7d2529c0851aff74df"),
     ("4x4", "float", "oracle-check"):
-        (0, "", "b157316b5d7cfe7337d227806a7e6a1aa9164f0f33683986bcebb800748ff647"),
+        (0, "", "3c8320af60b7c0af570bd9254efe97c95447114bd35d08e8c3b1e33045b94440"),
     ("9x3", "rational", "solve"):
         (0, "", "39fe777f8c119a0e6bec19f564945a4edbacedddf1af0b28761253a8e997cc74"),
     ("9x3", "float", "solve"):
@@ -1182,9 +1226,9 @@ GOLDEN = {
     ("9x3", "float", "cover"):
         (0, "", "46be8ffd2a575f31a4ad3c4dcfdbc0ac70d5d3b13815b577fb42210bd6c85229"),
     ("9x3", "rational", "arveson"):
-        (0, "", "b62d64d795c5e0965065f35408bf03ba8092a2569c53acbb3e1b807662c975cf"),
+        (0, "", "e03487ad824bdb5d8d9691fb03043a96166f465f73c4ddbebf768d9b178cc5bb"),
     ("9x3", "float", "arveson"):
-        (0, "", "dca82f5548f098b61638a3a44f8cfba4c475a2748c75b96da348706813e34fe5"),
+        (0, "", "63109408c9e89e5389ecc19c1a0475ac5d7c32559c65de8cd5eb5a72130bdb90"),
     ("9x3", "rational", "wasserstein"):
         (2, "error: wasserstein needs mu and nu on one point set; the spaces differ in size\n", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("9x3", "float", "wasserstein"):
