@@ -34,12 +34,7 @@ from .instances import (
 )
 from .numeric import fold_sum, format_number
 from .oracle import DEFAULT_CELL_CAP, oracle_enumerate
-from .rectangles import (
-    Cover,
-    arveson_witness,
-    indicator_cost,
-    rounded_cover,
-)
+from .rectangles import Cover, arveson_witness, min_cover
 from .spaces import mask_indices
 from .transport import (
     check_chain,
@@ -222,15 +217,14 @@ def _scenario_extend(instance, ctx, options):
 def _scenario_cover(instance, ctx, options):
     family = instance.rectangles
     mu, nu = instance.space_x.weights, instance.space_y.weights
-    best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
-    cover = rounded_cover(family, best, ctx)
+    cover = min_cover(family, mu, nu, ctx)
     result = {
         "cover_a": list(mask_indices(cover.a)),
         "cover_b": list(mask_indices(cover.b)),
         "cover_value": cover.value,
-        "alpha_star": best.value,
+        "alpha_star": cover.value,
     }
-    # rounded_cover has checked that the cover contains the union and is worth alpha*.
+    # min_cover has checked that the cover contains the union and is worth alpha*.
     return result, []
 
 

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MarginalMismatch, NotMeasurePreserving, SpaceMismatch
-from .numeric import Context, as_tuple, fold_sum, read_arguments, take_arguments
+from .numeric import Context, as_tuple, read_arguments, take_arguments
 from .spaces import Matrix, Partition, ProbabilitySpace, Vector, mask_indices, pushforward
-from .transport import Coupling
+from .transport import Coupling, coupling_defects
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,13 @@ def extend_coupling(coarse: CoarseCoupling, mu, ctx: Context | None = None) -> C
         (coarse.nu, "coarse.nu", ("n",)),
     )
     masses = partition.cell_masses(mu)
-    for k, (mass, row) in enumerate(zip(masses, t)):
-        row_sum = fold_sum(row)
-        if not ctx.eq(row_sum, mass):
-            raise MarginalMismatch(
-                f"coarse row {k} sums to {row_sum}, cell mass is {mass}"
-            )
-        for y, x in enumerate(row):
-            if not ctx.nonneg(x):
-                raise MarginalMismatch(f"coarse entry ({k}, {y}) = {x} is negative")
-    for y in range(len(nu)):
-        col = fold_sum(row[y] for row in t)
-        if not ctx.eq(col, nu[y]):
-            raise MarginalMismatch(f"coarse column {y} sums to {col}, nu is {nu[y]}")
+    defects = coupling_defects(Coupling(matrix=t, mu=masses, nu=nu), ctx)
+    if not defects.ok:
+        raise MarginalMismatch(
+            f"the coarse plan is not a coupling of the cell masses and nu: row defect"
+            f" {defects.max_row_defect}, column defect {defects.max_col_defect}, least entry"
+            f" {defects.min_entry}, total mass {defects.total_mass}"
+        )
     zero = ctx.number(0)
     rows = [[zero] * len(nu) for _ in range(len(mu))]
     for k, cell in enumerate(partition.cells):

@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from .costs import as_cost
 from .errors import InstanceTooLarge, UnknownObjective
 from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
 from .spaces import Matrix
-from .transport import ALPHA, ALPHA_STAR, _lattice_marginals, _validated_inputs
+from .transport import ALPHA, ALPHA_STAR, _lattice_marginals
 
 DEFAULT_CELL_CAP = 16
 
@@ -91,9 +92,10 @@ def _lattice_vertices(mu, nu, cap):
 def transport_polytope_vertices(
     mu, nu, cap: int = DEFAULT_CELL_CAP, ctx: Context | None = None
 ) -> tuple[Matrix, ...]:
-    """All distinct extreme couplings of the polytope with marginals mu, nu."""
+    """All distinct extreme couplings of the polytope with marginals mu, nu,
+    read and checked as every solve reads them."""
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)))
-    scale, (mass_mu, mass_nu) = to_lattice(mu, nu)
+    scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)
     vertices = _lattice_vertices(mass_mu, mass_nu, cap)
     return tuple(dict.fromkeys(tuple(from_lattice(r, scale, ctx.mode) for r in v) for v in vertices))
 
@@ -104,9 +106,11 @@ def oracle_enumerate(
     """Extreme of sum P*c over all enumerated basic feasible couplings."""
     if objective not in (ALPHA, ALPHA_STAR):
         raise UnknownObjective(f"objective must be 'alpha' or 'alpha_star', got {objective!r}")
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
+    ctx, values, mu, nu = read_arguments(
+        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
+    )
     cost_scale, cost = to_lattice(*values)
-    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
+    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)
     totals = (
         fold_sum(p * x for prow, crow in zip(v, cost) for p, x in zip(prow, crow))
         for v in _lattice_vertices(mass_mu, mass_nu, cap)

@@ -4,7 +4,7 @@ truncation bound for unions.
 For the indicator cost 1_H of a union H of rectangles, alpha*(1_H), the
 largest coupling mass of H, equals the least mu(a) + nu(b) over covers
 H inside (a x Y) union (X x b).  The minimal cover is the beta* witness of
-the one alpha* solve, rounded to 0/1 (see ``rounded_cover``), so the cover
+the one alpha* solve, rounded to 0/1 (see ``_rounded_cover``), so the cover
 is an exact certificate of the solved value.  The truncation bound adds
 the tail's mass to alpha of a finite head, whose dual value beta is the
 same certified number.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import CostMatrix
-from .errors import IndexOutOfRange, InvariantViolation, ValidationError
+from .errors import IndexOutOfRange, InvariantViolation
 from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, take_arguments
 from .spaces import (
     Mask,
@@ -24,9 +24,6 @@ from .spaces import (
     mask_union,
 )
 from .transport import Coupling, SolveReport, _lattice_marginals, solve_alpha, solve_alpha_star
-
-UNION = "union"
-INTERSECTION = "intersection"
 
 
 @dataclass(frozen=True)
@@ -59,28 +56,13 @@ class RectangleFamily:
                         row[j] = 1
         return tuple(tuple(r) for r in rows)
 
-    def intersection_matrix(self) -> Matrix:
-        # The intersection over an empty index set is the whole space.
-        rows = [[1] * self.ny for _ in range(self.nx)]
-        for a, b in self.rects:
-            for i in range(self.nx):
-                row = rows[i]
-                for j in range(self.ny):
-                    if row[j] and not (a[i] and b[j]):
-                        row[j] = 0
-        return tuple(tuple(r) for r in rows)
-
     def head(self, count: int) -> "RectangleFamily":
         return RectangleFamily(nx=self.nx, ny=self.ny, rects=self.rects[:count])
 
 
-def indicator_cost(family: RectangleFamily, mode: str = UNION) -> CostMatrix:
-    """0/1 cost of membership in the union (or intersection) of the family."""
-    if mode == UNION:
-        return CostMatrix(values=family.union_matrix())
-    if mode == INTERSECTION:
-        return CostMatrix(values=family.intersection_matrix())
-    raise ValidationError(f"mode must be 'union' or 'intersection', got {mode!r}")
+def indicator_cost(family: RectangleFamily) -> CostMatrix:
+    """0/1 cost of membership in the union of the family."""
+    return CostMatrix(values=family.union_matrix())
 
 
 @dataclass(frozen=True)
@@ -104,7 +86,7 @@ def covers(family: RectangleFamily, a: Mask, b: Mask) -> bool:
     return True
 
 
-def rounded_cover(family: RectangleFamily, best: SolveReport, ctx: Context) -> Cover:
+def _rounded_cover(family: RectangleFamily, best: SolveReport, ctx: Context) -> Cover:
     """The minimal cover rounded off ``best``, the solve_alpha_star report
     on indicator_cost(family) in ``ctx``.
 
@@ -121,7 +103,7 @@ def rounded_cover(family: RectangleFamily, best: SolveReport, ctx: Context) -> C
     b = tuple(y + low >= 1 for y in g)
     if not covers(family, a, b):
         raise InvariantViolation("rounded potentials fail to cover the family; unreachable")
-    scale, mass_mu, mass_nu = _lattice_marginals(best.coupling.mu, best.coupling.nu)
+    scale, mass_mu, mass_nu = _lattice_marginals(best.coupling.mu, best.coupling.nu, ctx)
     mass = fold_sum(w for w, inside in zip(mass_mu + mass_nu, a + b) if inside)
     (value,) = from_lattice((mass,), scale, ctx.mode)
     if value != best.value:
@@ -133,7 +115,7 @@ def min_cover(family: RectangleFamily, mu, nu, ctx: Context | None = None) -> Co
     """A cover (a, b) of the family's union minimizing mu(a) + nu(b),
     rounded off one alpha* solve of its indicator cost."""
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
-    return rounded_cover(family, solve_alpha_star(indicator_cost(family), mu, nu, ctx), ctx)
+    return _rounded_cover(family, solve_alpha_star(indicator_cost(family), mu, nu, ctx), ctx)
 
 
 @dataclass(frozen=True)
@@ -154,7 +136,7 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
     """
     ctx, mu, nu = read_arguments(ctx, (mu, "mu", (family.nx,)), (nu, "nu", (family.ny,)))
     best = solve_alpha_star(indicator_cost(family), mu, nu, ctx)
-    cover = rounded_cover(family, best, ctx)
+    cover = _rounded_cover(family, best, ctx)
     if cover.value == 0:
         return cover
     return NotNullReport(alpha_star=best.value, coupling=best.coupling)
@@ -188,12 +170,12 @@ def truncation_duality(
     )
     if not 0 <= n < len(family.rects):
         raise IndexOutOfRange(f"truncation index {n} outside 0..{len(family.rects) - 1}")
-    head = indicator_cost(family.head(n + 1), UNION)
+    head = indicator_cost(family.head(n + 1))
     head_alpha = solve_alpha(head, mu, nu, ctx).value
     tail_rows = [a for a, _ in family.rects[n + 1 :]]
     tail_union = mask_union(*tail_rows) if tail_rows else empty_mask(family.nx)
     tail_mass = mask_mass(mu, tail_union)
-    full_alpha = solve_alpha(indicator_cost(family, UNION), mu, nu, ctx).value
+    full_alpha = solve_alpha(indicator_cost(family), mu, nu, ctx).value
     certified = head_alpha + tail_mass
     return TruncationReport(
         head_count=n + 1,

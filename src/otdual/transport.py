@@ -121,10 +121,13 @@ class ChainReport:
 # Network simplex
 # ---------------------------------------------------------------------------
 
-def _validated_inputs(c, mu, nu, ctx):
-    ctx, values, mu, nu = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
-    )
+def _lattice_marginals(mu, nu, ctx):
+    """Marginals as every route reads them: ``(scale, mass_mu, mass_nu)`` on
+    one integer lattice, after checking that each is a probability vector
+    within the tolerance (else ``InfeasibleMarginals``).  A float weight
+    within the tolerance below 0 is read as 0, and the exact gap between
+    float totals goes to nu's largest entry (a pushforward nu often ends in
+    0), so the totals agree."""
     for name, w in (("mu", mu), ("nu", nu)):
         for i, x in enumerate(w):
             if not ctx.nonneg(x):
@@ -132,14 +135,6 @@ def _validated_inputs(c, mu, nu, ctx):
         total = fold_sum(w)
         if not ctx.eq(total, 1):
             raise InfeasibleMarginals(f"{name} sums to {total}, not 1")
-    return values, mu, nu, ctx
-
-
-def _lattice_marginals(mu, nu):
-    """Checked marginals as every route reads them: ``(scale, mass_mu, mass_nu)``
-    on one integer lattice.  A float weight within the tolerance below 0 is
-    read as 0, and the exact gap between float totals goes to nu's largest
-    entry (a pushforward nu often ends in 0), so the totals agree."""
     scale, masses = to_lattice(mu, nu)
     mass_mu, mass_nu = (tuple(max(x, 0) for x in w) for w in masses)
     total_mu, total_nu = fold_sum(mass_mu), fold_sum(mass_nu)
@@ -244,8 +239,7 @@ def _network_simplex(values, mu, nu):
             ui = u[i]
             row = values[i]
             for j in range(n):
-                if (i, j) in flow:
-                    continue
+                # A basic cell has reduced cost 0 exactly, so it never enters.
                 if row[j] - ui - v[j] < 0:
                     entering = (i, j)
                     break
@@ -312,9 +306,11 @@ def _solve(c, mu, nu, side, ctx):
     and ``_certify`` proves its optimum there, so no caller re-checks the
     coupling, the potentials or the value.
     """
-    values, mu, nu, ctx = _validated_inputs(c, mu, nu, ctx)
+    ctx, values, mu, nu = read_arguments(
+        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
+    )
     cost_scale, cost = to_lattice(*values)
-    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
+    mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)
     upper = side == UPPER
     if upper:
         cost = negate_matrix(cost)

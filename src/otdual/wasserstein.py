@@ -15,7 +15,7 @@ from fractions import Fraction
 from .lp import simplex_maximize
 from .numeric import RATIONAL, Context, Number, fold_sum, from_ratios, read_arguments
 from .spaces import Matrix, Vector
-from .transport import Coupling, _lattice_marginals, _validated_inputs, solve_alpha
+from .transport import Coupling, _lattice_marginals, solve_alpha
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,10 @@ def lipschitz_dual(metric: Matrix, mu, nu, ctx: Context | None = None) -> tuple[
     ctx, d, mu, nu = read_arguments(
         ctx, (metric, "metric", ("n", "n")), (mu, "mu", ("n",)), (nu, "nu", ("n",))
     )
-    _validated_inputs(d, mu, nu, ctx)  # InfeasibleMarginals unless both are probabilities
+    scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)
     n = len(mu)
     zero, one = Fraction(0), Fraction(1)
     d = [tuple(map(Fraction, row)) for row in d]
-    scale, mass_mu, mass_nu = _lattice_marginals(mu, nu)
     p = [a - b for a, b in zip(mass_mu, mass_nu)]
 
     lhs = []

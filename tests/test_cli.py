@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import otdual as ot
-from otdual import cli, transport
+from otdual import cli, rectangles, transport
 from otdual.cli import main, run_scenario
 from otdual.errors import (
     DimensionMismatch,
@@ -856,7 +856,7 @@ def test_malformed_fields_never_raise(tmp_path, capsys):
 
 
 def shift_cover_potentials(monkeypatch):
-    solve = cli.solve_alpha_star
+    solve = rectangles.solve_alpha_star
 
     def row_shifted(*args):
         # Lowering f on row 0 leaves the cell (0, 0) of the union uncovered.
@@ -864,7 +864,7 @@ def shift_cover_potentials(monkeypatch):
         f = best.potentials.f
         return replace(best, potentials=replace(best.potentials, f=(f[0] - 1, *f[1:])))
 
-    monkeypatch.setattr(cli, "solve_alpha_star", row_shifted)
+    monkeypatch.setattr(rectangles, "solve_alpha_star", row_shifted)
 
 
 def raise_simplex_potential(monkeypatch):

@@ -96,6 +96,22 @@ def test_extension_rejects_bad_coarse_rows():
         ot.extend_coupling(ot.CoarseCoupling(partition=part, matrix=bad, nu=(1, 0)), mu)
 
 
+HALVES = (F(1, 2), F(1, 2))
+QUARTERS = (F(1, 4), F(1, 4))
+
+
+@pytest.mark.parametrize("mu, t, nu, defect", [
+    (HALVES, ((F(1, 2), 0), QUARTERS), HALVES, "column defect 1/4"),
+    (HALVES, ((F(1, 2), F(1, 4)), (0, F(1, 4))), HALVES, "row defect 1/4"),
+    (HALVES, ((F(3, 4), F(-1, 4)), (F(-1, 4), F(3, 4))), HALVES, "least entry -1/4"),
+    (QUARTERS, ((F(1, 4), 0), (0, F(1, 4))), QUARTERS, "total mass 1/2"),
+], ids=["columns-miss-nu", "rows-miss-masses", "negative-entry", "mass-not-1"])
+def test_extension_names_the_coarse_plan_defect(mu, t, nu, defect):
+    coarse = ot.CoarseCoupling(partition=ot.singleton_partition(2), matrix=t, nu=nu)
+    with pytest.raises(MarginalMismatch, match=defect):
+        ot.extend_coupling(coarse, mu)
+
+
 def test_coarse_shape_checked():
     with pytest.raises(ValidationError):
         ot.CoarseCoupling(

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import otdual as ot
-from otdual.errors import InstanceTooLarge
+from otdual.errors import InfeasibleMarginals, InstanceTooLarge
 from otdual.instances import random_cost_matrix, random_weights
 
 HALF = (F(1, 2), F(1, 2))
@@ -22,6 +22,25 @@ def test_two_by_two_has_exactly_two_extremes():
         ((F(1, 2), 0), (0, F(1, 2))),
         ((0, F(1, 2)), (F(1, 2), 0)),
     }
+
+
+def test_vertices_read_the_marginals_as_the_solvers_do():
+    # -1e-13 is within the float tolerance of 0, so it is read as 0 and the
+    # polytope is that of the 2x2 case with an empty third row.
+    vertices = ot.transport_polytope_vertices((0.5 + 1e-13, 0.5, -1e-13), (0.5, 0.5))
+    assert len(vertices) == 2
+    assert all(v[2] == (0.0, 0.0) for v in vertices)
+
+
+@pytest.mark.parametrize("mu, nu", [
+    ((F(1, 2), F(1, 4)), HALF),
+    (HALF, (F(1, 2), F(3, 4))),
+    ((F(3, 2), F(-1, 2)), HALF),
+    ((0.5, 0.25), (0.5, 0.5)),
+], ids=["mu-short", "nu-long", "negative", "float-short"])
+def test_vertices_reject_marginals_that_are_not_probabilities(mu, nu):
+    with pytest.raises(InfeasibleMarginals):
+        ot.transport_polytope_vertices(mu, nu)
 
 
 def test_cap_is_enforced():

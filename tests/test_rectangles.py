@@ -26,23 +26,13 @@ def empty_family(nx, ny):
 # --- indicator costs ---------------------------------------------------------
 
 def test_empty_union_is_zero_matrix():
-    cost = ot.indicator_cost(empty_family(2, 3), "union")
+    cost = ot.indicator_cost(empty_family(2, 3))
     assert cost.values == ((0, 0, 0), (0, 0, 0))
 
 
-def test_empty_intersection_is_full_space():
-    cost = ot.indicator_cost(empty_family(2, 2), "intersection")
-    assert cost.values == ((1, 1), (1, 1))
-
-
 def test_diagonal_rectangles_give_identity():
-    cost = ot.indicator_cost(diag_family(2), "union")
+    cost = ot.indicator_cost(diag_family(2))
     assert cost.values == ((1, 0), (0, 1))
-
-
-def test_indicator_mode_checked():
-    with pytest.raises(ValidationError):
-        ot.indicator_cost(empty_family(1, 1), "average")
 
 
 def test_rectangle_masks_sized():
@@ -213,7 +203,7 @@ def test_complementation_identity():
         mu = random_weights(rng, nx)
         nu = random_weights(rng, ny)
         family = random_rectangles(rng, nx, ny, rng.randint(0, 3))
-        k = family.intersection_matrix()
+        k = family.union_matrix()
         k_complement = tuple(tuple(1 - x for x in row) for row in k)
         lhs = ot.solve_alpha(k, mu, nu).value
         rhs = 1 - ot.solve_alpha_star(k_complement, mu, nu).value
