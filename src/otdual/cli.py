@@ -110,7 +110,7 @@ def _scenario_approx(instance, ctx, options):
     cost, metric = instance.cost, instance.space_x.metric
     mu, nu = instance.space_x.weights, instance.space_y.weights
     modulus = lipschitz_modulus(cost, metric, ctx)
-    if options.get("n"):
+    if options.get("n") is not None:
         ns = _parse_n_list(options["n"], ctx)
     else:
         if modulus is None:

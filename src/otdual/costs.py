@@ -57,32 +57,15 @@ def potential_defect(pair: PotentialPair, values: Matrix, ctx: Context | None = 
 class CostMatrix:
     """A real cost matrix over X x Y.
 
-    Optional bounding pairs witness that the cost sits between two separable
-    functions; they are metadata and are validated whenever present.
+    On a finite space every cost lies between the separable functions
+    min c and max c, so the paper's bounding pairs need no field here.
     """
 
     values: Matrix
-    lower_potential: PotentialPair | None = None
-    upper_potential: PotentialPair | None = None
 
     def __post_init__(self) -> None:
         (values,) = take_arguments((self.values, "values", ("m", "n")))
         object.__setattr__(self, "values", values)
-        for pair, side in ((self.lower_potential, LOWER), (self.upper_potential, UPPER)):
-            if pair is None:
-                continue
-            if pair.side != side:
-                raise ValidationError(f"{side} witness has side {pair.side!r}")
-            # Read here to name the pair's entries by their field.
-            ctx, read, _, _ = read_arguments(
-                None, (values, "values", ("m", "n")), (pair.f, f"{side}_potential.f", ("m",)),
-                (pair.g, f"{side}_potential.g", ("n",)),
-            )
-            defect = potential_defect(pair, read, ctx)
-            if not ctx.leq(defect, 0):
-                raise ValidationError(
-                    f"{side} bounding pair violates its inequality by {defect}"
-                )
 
 
 def as_cost(c) -> CostMatrix:

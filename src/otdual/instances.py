@@ -14,7 +14,7 @@ from random import Random
 
 from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
-from .numeric import Context, format_number, read_arguments, take_arguments
+from .numeric import Context, format_number, read_arguments
 from .rectangles import RectangleFamily
 from .spaces import (
     Matrix,
@@ -38,12 +38,8 @@ class Instance:
     space_x: ProbabilitySpace
     space_y: ProbabilitySpace
     cost: CostMatrix | None = None
-    cost_formula: str | None = None
-    coords_x: Vector | None = None
-    coords_y: Vector | None = None
     rectangles: RectangleFamily | None = None
     partition: Partition | None = None
-    mapping: tuple[int, ...] | None = None
 
 
 def _need(data, key, kind, where, optional=False):
@@ -137,15 +133,13 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
             )
 
     cost = None
-    cost_formula = None
     raw_cost = _need(data, "cost", dict, "instance", optional=True)
     if raw_cost is not None:
         if "matrix" in raw_cost:
             values = _parse_numbers(raw_cost["matrix"], ctx, "cost.matrix", (m, n))
             cost = CostMatrix(values=values)
         elif "formula" in raw_cost:
-            cost_formula = raw_cost["formula"]
-            cost = _formula_cost(cost_formula, coords_x, coords_y, m, n, ctx)
+            cost = _formula_cost(raw_cost["formula"], coords_x, coords_y, m, n, ctx)
         else:
             raise ParseError("cost needs either 'matrix' or 'formula'")
 
@@ -184,23 +178,13 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
         except DualityError as exc:
             raise type(exc)(f"partition: {exc}") from None
 
-    mapping = None
-    raw_map = _need(data, "map", list, "instance", optional=True)
-    if raw_map is not None:
-        take_arguments((raw_map, "map", (m,)))
-        mapping = _parse_indices(raw_map, n, "map")
-
     return Instance(
         ctx=ctx,
         space_x=space_x,
         space_y=space_y,
         cost=cost,
-        cost_formula=cost_formula,
-        coords_x=coords_x,
-        coords_y=coords_y,
         rectangles=rectangles,
         partition=partition,
-        mapping=mapping,
     )
 
 
@@ -220,19 +204,16 @@ def instance_to_jsonable(instance: Instance) -> dict:
     """The instance as a JSON document, its numbers rendered in one pass."""
     mode = instance.ctx.mode
 
-    def space_doc(space: ProbabilitySpace, coords):
-        doc = {"points": list(space.points), "weights": space.weights,
-               "metric": space.metric, "coords": coords}
+    def space_doc(space: ProbabilitySpace):
+        doc = {"points": list(space.points), "weights": space.weights, "metric": space.metric}
         return {key: value for key, value in doc.items() if value is not None}
 
     doc = {
         "arithmetic": mode,
-        "space_x": space_doc(instance.space_x, instance.coords_x),
-        "space_y": space_doc(instance.space_y, instance.coords_y),
+        "space_x": space_doc(instance.space_x),
+        "space_y": space_doc(instance.space_y),
     }
-    if instance.cost_formula is not None:
-        doc["cost"] = {"formula": instance.cost_formula}
-    elif instance.cost is not None:
+    if instance.cost is not None:
         doc["cost"] = {"matrix": instance.cost.values}
     doc = format_number(doc, mode)
     # The fields below hold indices, not numbers, and the scalar
@@ -248,8 +229,6 @@ def instance_to_jsonable(instance: Instance) -> dict:
             "null_cell_index": instance.partition.null_cell_index,
             "representatives": list(instance.partition.representatives),
         }
-    if instance.mapping is not None:
-        doc["map"] = list(instance.mapping)
     return doc
 
 
@@ -313,9 +292,8 @@ def random_partition(rng: Random, n: int) -> Partition:
 def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Instance:
     """A deterministic random instance exercising every CLI verb.
 
-    nu is the pushforward of mu under the generated map, so Monge and
-    extension scenarios are runnable; this can make some nu entries zero,
-    which the solvers support.
+    nu is the pushforward of mu under a random map; this can make some nu
+    entries zero, which the solvers support.
     """
     if m < 1 or n < 1:
         raise ValidationError("instance sizes must be at least 1x1")
@@ -338,5 +316,4 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
         cost=CostMatrix(values=cost),
         rectangles=rectangles,
         partition=partition,
-        mapping=mapping,
     )

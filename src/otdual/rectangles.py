@@ -144,7 +144,6 @@ def arveson_witness(family: RectangleFamily, mu, nu, ctx: Context | None = None)
 
 @dataclass(frozen=True)
 class TruncationReport:
-    head_count: int
     head_alpha: Number
     tail_mass: Number
     tail_below_eps: bool
@@ -178,7 +177,6 @@ def truncation_duality(
     full_alpha = solve_alpha(indicator_cost(family), mu, nu, ctx).value
     certified = head_alpha + tail_mass
     return TruncationReport(
-        head_count=n + 1,
         head_alpha=head_alpha,
         tail_mass=tail_mass,
         tail_below_eps=tail_mass < eps,

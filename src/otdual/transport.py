@@ -100,7 +100,6 @@ def transport_value(coupling_or_matrix, values: Matrix) -> Number:
 @dataclass(frozen=True)
 class SolveReport:
     value: Number
-    arithmetic_mode: str
     coupling: Coupling | None = None
     potentials: PotentialPair | None = None
 
@@ -323,7 +322,6 @@ def _solve(c, mu, nu, side, ctx):
     u, v = from_lattice(u, cost_scale, ctx.mode), from_lattice(v, cost_scale, ctx.mode)
     return SolveReport(
         value=value,
-        arithmetic_mode=ctx.mode,
         coupling=Coupling(matrix=matrix, mu=mu, nu=nu),
         potentials=PotentialPair(f=u, g=v, side=side),
     )

@@ -24,7 +24,6 @@ class WassersteinReport:
     dual_value: Number
     lipschitz_witness: Vector
     coupling: Coupling
-    arithmetic_mode: str
 
     @property
     def gap(self) -> Number:
@@ -87,7 +86,6 @@ def wasserstein1(metric: Matrix, mu, nu, ctx: Context | None = None) -> Wasserst
         dual_value=dual_value,
         lipschitz_witness=witness,
         coupling=primal.coupling,
-        arithmetic_mode=ctx.mode,
     )
 
 

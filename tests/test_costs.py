@@ -22,21 +22,6 @@ def test_separable_cost_and_witness():
     assert is_feasible_potential(pair, cost.values)
 
 
-def test_witness_validated_on_construction():
-    lower = ot.PotentialPair(f=(10,), g=(0,), side="lower")
-    with pytest.raises(ValidationError):
-        ot.CostMatrix(values=((0,),), lower_potential=lower)
-    upper = ot.PotentialPair(f=(10,), g=(0,), side="upper")
-    cost = ot.CostMatrix(values=((0,),), upper_potential=upper)
-    assert cost.upper_potential is upper
-
-
-def test_witness_side_checked():
-    pair = ot.PotentialPair(f=(0,), g=(0,), side="upper")
-    with pytest.raises(ValidationError):
-        ot.CostMatrix(values=((0,),), lower_potential=pair)
-
-
 def test_potential_defect_measures_worst_gap():
     pair = ot.PotentialPair(f=(0, 0), g=(0,), side="lower")
     assert ot.potential_defect(pair, ((-1,), (-3,))) == 3

@@ -213,7 +213,6 @@ def test_float_mode_agrees_within_tolerance():
     assert abs(chain.alpha - chain.beta) <= 1e-9
     assert abs(chain.alpha - 0.25) <= 1e-9
     report = ot.solve_alpha(c, mu, nu)
-    assert report.arithmetic_mode == "float"
     defects = ot.coupling_defects(report.coupling)
     assert defects.ok
 
@@ -279,6 +278,74 @@ def test_float_mode_agrees_with_rational_mode(instance):
         assert abs(a - b) <= 1e-9
     for solver in (ot.solve_alpha, ot.solve_alpha_star):
         assert ot.coupling_defects(solver(*args).coupling).ok
+
+
+@st.composite
+def _dyadic_instances(draw):
+    """Weights in sixteenths summing to 1 and a cost in quarters, up to 6x6,
+    with f on X, g on Y and an entrywise raise >= 0 of the cost, in quarters.
+
+    Every sum and product below is exact in floats and the float totals are
+    exactly 1, so no marginal gap is repaired and each identity holds with ==.
+    """
+
+    def weights(k):
+        cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=k - 1, max_size=k - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, 16])]
+
+    def quarters(k, low=-12):
+        return draw(st.lists(st.integers(low, 12), min_size=k, max_size=k))
+
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return (weights(m), weights(n), [quarters(n) for _ in range(m)], quarters(m), quarters(n),
+            [quarters(n, 0) for _ in range(m)])
+
+
+def _in_mode(instance, mode):
+    """(mu, nu, c, f, g, raise) as Fractions in rational mode, floats in float mode."""
+    def scaled(values, q):
+        if isinstance(values, list):
+            return tuple(scaled(v, q) for v in values)
+        return F(values, q) if mode == "rational" else values / q
+
+    mu, nu, *quartered = instance
+    return (scaled(mu, 16), scaled(nu, 16), *(scaled(v, 4) for v in quartered))
+
+
+SIDES = (ot.solve_alpha, ot.solve_alpha_star)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_instances())
+def test_transposing_the_cost_swaps_the_marginals(mode, instance):
+    mu, nu, c, *_ = _in_mode(instance, mode)
+    ctx = ot.Context(mode)
+    for solver in SIDES:
+        assert solver(tuple(zip(*c)), nu, mu, ctx).value == solver(c, mu, nu, ctx).value
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_instances())
+def test_a_separable_shift_adds_its_integral(mode, instance):
+    mu, nu, c, f, g, _ = _in_mode(instance, mode)
+    ctx = ot.Context(mode)
+    shifted = tuple(tuple(x + fi + gj for x, gj in zip(row, g)) for row, fi in zip(c, f))
+    offset = sum(w * x for w, x in zip(mu, f)) + sum(w * x for w, x in zip(nu, g))
+    for solver in SIDES:
+        assert solver(shifted, mu, nu, ctx).value == solver(c, mu, nu, ctx).value + offset
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_instances())
+def test_raising_the_cost_raises_both_values(mode, instance):
+    mu, nu, c, _, _, lift = _in_mode(instance, mode)
+    ctx = ot.Context(mode)
+    raised = tuple(tuple(x + d for x, d in zip(row, drow)) for row, drow in zip(c, lift))
+    for solver in SIDES:
+        assert solver(c, mu, nu, ctx).value <= solver(raised, mu, nu, ctx).value
 
 
 def test_a_float_weight_just_below_0_is_read_as_0():
