@@ -21,10 +21,10 @@ from .spaces import (
     Partition,
     ProbabilitySpace,
     Vector,
+    _close_paths,
     make_space,
     mask_from_indices,
     mask_indices,
-    metric_repair,
     pushforward,
     validate_space,
 )
@@ -75,25 +75,29 @@ def _parse_numbers(values, ctx, where, shape):
     return read_arguments(ctx, (values, where, shape))[1]
 
 
-def _parse_space(data, ctx, where) -> tuple[ProbabilitySpace, Vector | None]:
+def _parse_space(data, ctx, where) -> ProbabilitySpace:
     weights = _parse_numbers(_need(data, "weights", list, where), ctx, f"{where}.weights", ("n",))
     points = _need(data, "points", list, where, optional=True)
     metric = data.get("metric")
     if metric is not None:
         metric = _parse_numbers(metric, ctx, f"{where}.metric", ("n", "n"))
-    coords = data.get("coords")
-    if coords is not None:
-        coords = _parse_numbers(coords, ctx, f"{where}.coords", (len(weights),))
     try:
-        space = make_space(weights, metric, points, prefix=where[-1])
+        return make_space(weights, metric, points, prefix=where[-1])
     except DualityError as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    return space, coords
 
 
-def _formula_cost(formula, coords_x, coords_y, m, n, ctx) -> CostMatrix:
-    cx = coords_x if coords_x is not None else tuple(ctx.number(i) for i in range(m))
-    cy = coords_y if coords_y is not None else tuple(ctx.number(j) for j in range(n))
+def _coords(data, ctx, where, size) -> Vector:
+    """A space's ``coords``, read only for a formula cost; point indices by default."""
+    coords = data.get("coords")
+    if coords is None:
+        return tuple(ctx.number(i) for i in range(size))
+    return _parse_numbers(coords, ctx, f"{where}.coords", (size,))
+
+
+def _formula_cost(formula, data, m, n, ctx) -> CostMatrix:
+    cx = _coords(data["space_x"], ctx, "space_x", m)
+    cy = _coords(data["space_y"], ctx, "space_y", n)
     one, zero = ctx.number(1), ctx.number(0)
     if formula == "absolute-difference":
         rows = [[abs(a - b) for b in cy] for a in cx]
@@ -116,8 +120,8 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
         arithmetic = mode_override
     ctx = Context(arithmetic) if tolerance is None else Context(arithmetic, tolerance)
 
-    space_x, coords_x = _parse_space(_need(data, "space_x", dict, "instance"), ctx, "space_x")
-    space_y, coords_y = _parse_space(_need(data, "space_y", dict, "instance"), ctx, "space_y")
+    space_x = _parse_space(_need(data, "space_x", dict, "instance"), ctx, "space_x")
+    space_y = _parse_space(_need(data, "space_y", dict, "instance"), ctx, "space_y")
     m, n = space_x.size, space_y.size
 
     for name, space in (("space_x", space_x), ("space_y", space_y)):
@@ -139,7 +143,7 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
             values = _parse_numbers(raw_cost["matrix"], ctx, "cost.matrix", (m, n))
             cost = CostMatrix(values=values)
         elif "formula" in raw_cost:
-            cost = _formula_cost(raw_cost["formula"], coords_x, coords_y, m, n, ctx)
+            cost = _formula_cost(raw_cost["formula"], data, m, n, ctx)
         else:
             raise ParseError("cost needs either 'matrix' or 'formula'")
 
@@ -242,6 +246,13 @@ def save_instance(instance: Instance, path) -> None:
 # Seeded random generation (exact rationals; float instances are converted)
 # ---------------------------------------------------------------------------
 
+# Metric and cost entries are whole quarters k/4, drawn and closed as the
+# ints k and written from this table: _QUARTERS[k + _OFFSET] == Fraction(k, 4)
+# for the cost's k in -12..12 (a closed metric's k lies in 0..8).
+_OFFSET = 12
+_QUARTERS = tuple(Fraction(k, 4) for k in range(-_OFFSET, _OFFSET + 1))
+
+
 def random_weights(rng: Random, n: int, zeros: bool = False) -> Vector:
     """A random rational weight vector summing exactly to 1."""
     if n == 1:
@@ -256,16 +267,21 @@ def random_weights(rng: Random, n: int, zeros: bool = False) -> Vector:
 
 
 def random_cost_matrix(rng: Random, m: int, n: int) -> Matrix:
-    return tuple(tuple(Fraction(rng.randint(-12, 12), 4) for _ in range(n)) for _ in range(m))
+    """Uniform whole quarters from -3 to 3."""
+    return tuple(
+        tuple(_QUARTERS[rng.randint(-12, 12) + _OFFSET] for _ in range(n)) for _ in range(m)
+    )
 
 
 def random_metric(rng: Random, n: int) -> Matrix:
-    """A valid rational metric: random positive generator, then repaired."""
-    gen = [[Fraction(0)] * n for _ in range(n)]
+    """A valid rational metric: a random generator of 1 to 8 quarters, closed
+    on the quarter lattice as :func:`metric_repair` closes its lattice."""
+    gen = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            gen[i][j] = gen[j][i] = Fraction(rng.randint(1, 8), 4)
-    return metric_repair(gen)
+            gen[i][j] = gen[j][i] = rng.randint(1, 8)
+    _close_paths(gen)
+    return tuple(tuple(_QUARTERS[k + _OFFSET] for k in row) for row in gen)
 
 
 def random_rectangles(rng: Random, nx: int, ny: int, count: int = 3) -> RectangleFamily:

@@ -268,6 +268,8 @@ def format_number(value, mode: str):
     A non-finite float, left by an overflow in float arithmetic, raises
     ``ValidationError``: JSON has no such number.
     """
+    if mode == RATIONAL_MODE and type(value) is Fraction:
+        return str(value)
     if value is None or isinstance(value, (bool, str, list)):
         return value
     if isinstance(value, dict):

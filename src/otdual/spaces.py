@@ -222,6 +222,14 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
             m = min(d[i][j], d[j][i])
             d[i][j] = m
             d[j][i] = m
+    _close_paths(d)
+    return tuple(from_lattice(r, scale, ctx.mode) for r in d)
+
+
+def _close_paths(d: list[list[int]]) -> None:
+    """Close the square integer matrix ``d`` in place under the triangle
+    inequality (Floyd-Warshall); ``otdual gen`` closes its generator here too."""
+    n = len(d)
     for k in range(n):
         dk = d[k]
         for i in range(n):
@@ -231,7 +239,6 @@ def metric_repair(matrix, ctx: Context | None = None) -> Matrix:
                 alt = dik + dk[j]
                 if alt < row[j]:
                     row[j] = alt
-    return tuple(from_lattice(r, scale, ctx.mode) for r in d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import hashlib
 import inspect
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otdual as ot
 from otdual import cli, rectangles, transport
@@ -116,6 +119,20 @@ def test_formula_costs(tmp_path):
     doc["space_x"]["coords"] = ["0", "1/2", "1"]
     instance = load_instance(write(tmp_path, doc))
     assert instance.cost.values[1][0] == F(1, 4)
+
+
+def test_coords_are_read_only_for_a_formula_cost(tmp_path, capsys):
+    bad_coords = swap_doc()
+    bad_coords["space_x"]["coords"] = ["a", "1"]
+    runs = []
+    for name, doc in (("plain.json", swap_doc()), ("coords.json", bad_coords)):
+        code = main(["chain", write(tmp_path, doc, name)])
+        out, err = capsys.readouterr()
+        runs.append((code, err, re.sub(r'("elapsed_seconds": )[^\n]*', r"\1", out)))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    bad_coords["cost"] = {"formula": "absolute-difference"}
+    assert main(["chain", write(tmp_path, bad_coords, "formula.json")]) == 2
+    assert "cannot read number 'a' in space_x.coords[0]" in capsys.readouterr().err
 
 
 def test_unknown_formula_rejected(tmp_path):
@@ -1109,6 +1126,68 @@ def test_format_number_renders_a_document(mode):
             format_number({"a": (1.0, {"b": bad})}, "float")
 
 
+def reference_format_number(value, mode):
+    """format_number as it rendered a Fraction before: through Fraction(value)."""
+    if value is None or isinstance(value, (bool, str, list)):
+        return value
+    if isinstance(value, dict):
+        return {key: reference_format_number(x, mode) for key, x in value.items()}
+    if isinstance(value, tuple):
+        return [reference_format_number(x, mode) for x in value]
+    if mode == "rational":
+        return str(F(value))
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(
+            f"cannot report the non-finite value {number!r}; float arithmetic overflowed"
+        )
+    return number
+
+
+def rendered(render, value, mode):
+    """The repr of ``render``'s result, or the type of what it raised."""
+    try:
+        return repr(render(value, mode))
+    except Exception as exc:
+        return type(exc)
+
+
+def documents(fractions, integers, floats):
+    """Nested dicts, tuples and lists of numbers, flags, names and None."""
+    leaves = st.one_of(fractions, integers, floats, st.booleans(), st.text(max_size=4), st.none())
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.lists(inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+@settings(max_examples=200)
+@given(doc=documents(st.fractions(), st.integers(), st.floats()))
+def test_format_number_renders_every_document_as_before(doc):
+    for mode in ("rational", "float"):
+        # repr tells "1" from 1, 1 from 1.0 and 0.0 from -0.0.
+        assert rendered(format_number, doc, mode) == rendered(reference_format_number, doc, mode)
+
+
+# Documents that render in float mode: no entry overflows a float.
+finite_documents = documents(
+    st.fractions(-10**6, 10**6), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(bad=st.sampled_from([math.inf, -math.inf, math.nan]), doc=finite_documents)
+def test_format_number_refuses_a_non_finite_float_after_any_document(bad, doc):
+    format_number(doc, "float")
+    with pytest.raises(ValidationError, match="non-finite"):
+        format_number({"a": (doc, {"b": bad})}, "float")
+
+
 def run_report(argv, capsys):
     code = run(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -1164,6 +1243,17 @@ GOLDEN_GEN = {
     ("32x4", "float"): "2b96c26a93c7ae1b1ea78f8ec9b16e60efdcec778a04c3ab0af6059005a1784e",
     ("12x12", "rational"): "5bf94558ab4a25bfcbed920e8c432713651e9d70ac8f56edb0f82f108d576b98",
     ("12x12", "float"): "9f93ec956c338d8dfcde272f8e0001b6a7ecedf1b1a711f9876d267f99c4c37f",
+}
+# gen files at a seed of the kind perfbench draws its instances with
+# (benchmark seed * 1000 + 100 * size index + instance index).
+GOLDEN_GEN_SEED = 1003
+GOLDEN_GEN_AT_SEED = {
+    ("8x8", "rational"): "908ee57faa557e8f853851db4227581caf847cb3e690c5f20373d5f1ca01f486",
+    ("8x8", "float"): "deedc238c0d0bd626d27d41e8896ede8a1434f31b42e78a6a45901a5ebb693bf",
+    ("10x10", "rational"): "12249b9322faf9c6d9e3047b1b1c7c9ee2b7705311e71370ee0703c61afe4d5d",
+    ("10x10", "float"): "40df996891f084934c048e254d815f66dde11b897d6ab65e64fb789b0d8abd0a",
+    ("28x4", "rational"): "aac1cc505ddea7a0173533ed03588fa0fd8bb63430a25649e70bca7f095b753b",
+    ("28x4", "float"): "0c4da45121d78b3e55cc54245d37b631cc377c185b9fb5cbf542617663a2a808",
 }
 GOLDEN = {
     ("4x4", "rational", "solve"):
@@ -1254,6 +1344,18 @@ def test_generated_instances_match_their_golden_digests(tmp_path):
     for (size, mode), expected in GOLDEN_GEN.items():
         path = tmp_path / f"{size}-{mode}.json"
         assert run(["gen", "--seed", "0", "--size", size, "--mode", mode, "-o", str(path)]) == 0
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        if got != expected:
+            mismatches.append(f"{size} {mode}: got {got}")
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_generated_instances_at_a_benchmark_seed_match_their_golden_digests(tmp_path):
+    mismatches = []
+    for (size, mode), expected in GOLDEN_GEN_AT_SEED.items():
+        path = tmp_path / f"{size}-{mode}.json"
+        assert run(["gen", "--seed", str(GOLDEN_GEN_SEED), "--size", size, "--mode", mode,
+                    "-o", str(path)]) == 0
         got = hashlib.sha256(path.read_bytes()).hexdigest()
         if got != expected:
             mismatches.append(f"{size} {mode}: got {got}")

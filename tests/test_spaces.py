@@ -9,6 +9,7 @@ from conftest import uniform_space
 
 import otdual as ot
 from otdual.errors import IndexOutOfRange, ValidationError, ZeroMassCell
+from otdual.instances import random_cost_matrix, random_metric
 
 
 def test_single_point_space_is_valid():
@@ -196,6 +197,36 @@ def test_float_metric_repair_rounds_the_exact_closure_once():
         repaired = ot.metric_repair(rows)
         assert repaired == tuple(tuple(map(float, row)) for row in reference_repair(rows))
         assert all(type(x) is float for row in repaired for x in row)
+
+
+def reference_random_metric(rng, n):
+    """gen's metric drawn as Fractions and closed by metric_repair."""
+    gen = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gen[i][j] = gen[j][i] = F(rng.randint(1, 8), 4)
+    return ot.metric_repair(gen)
+
+
+def reference_random_cost_matrix(rng, m, n):
+    return tuple(tuple(F(rng.randint(-12, 12), 4) for _ in range(n)) for _ in range(m))
+
+
+def test_gen_draws_on_the_lattice_as_the_fraction_route_does():
+    for seed in range(50):
+        lattice, fractions = Random(seed), Random(seed)
+        for n in range(1, 33):
+            metric = random_metric(lattice, n)
+            assert metric == reference_random_metric(fractions, n), (seed, n)
+            assert all(type(x) is F for row in metric for x in row)
+            # Each call consumes the stream as the reference does.
+            assert lattice.random() == fractions.random()
+        for m in range(1, 33):
+            for n in range(1, 5):
+                cost = random_cost_matrix(lattice, m, n)
+                assert cost == reference_random_cost_matrix(fractions, m, n), (seed, m, n)
+                assert all(type(x) is F for row in cost for x in row)
+                assert lattice.random() == fractions.random()
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
