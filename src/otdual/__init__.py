@@ -22,12 +22,7 @@ from .approx import (
     row_min_potential,
     shifted_infconv,
 )
-from .costs import (
-    CostMatrix,
-    PotentialPair,
-    as_cost,
-    potential_defect,
-)
+from .costs import PotentialPair, potential_defect
 from .couplings import (
     CoarseCoupling,
     diagonal_coupling,

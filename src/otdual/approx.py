@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import CostMatrix, PotentialPair, as_cost, potential_defect
+from .costs import PotentialPair, potential_defect
 from .errors import (
     EmptyAnchorSet,
     InfeasibleWitness,
@@ -33,7 +33,7 @@ def lipschitz_infconv(
     space_x: ProbabilitySpace,
     anchor_set: Mask | None = None,
     ctx: Context | None = None,
-) -> CostMatrix:
+) -> Matrix:
     """Entrywise infimal convolution min over anchors z of n*d(x,z) + c(z,y).
 
     The output is n-Lipschitz in x (uniformly in y) for any nonempty anchor
@@ -43,8 +43,7 @@ def lipschitz_infconv(
     if space_x.metric is None:
         raise ValidationError("infimal convolution needs a metric on X")
     ctx, n, values, d = read_arguments(
-        ctx, (n, "n", ()), (as_cost(c).values, "cost", ("x", "y")),
-        (space_x.metric, "space_x.metric", ("x", "x")),
+        ctx, (n, "n", ()), (c, "cost", ("x", "y")), (space_x.metric, "space_x.metric", ("x", "x"))
     )
     if n <= 0:
         raise ValidationError("the Lipschitz parameter must be positive")
@@ -61,7 +60,7 @@ def lipschitz_infconv(
         for y in range(ny):
             row.append(min(n * dx[z] + values[z][y] for z in anchors))
         out.append(tuple(row))
-    return CostMatrix(values=tuple(out))
+    return tuple(out)
 
 
 def shifted_infconv(
@@ -70,13 +69,13 @@ def shifted_infconv(
     space_x: ProbabilitySpace,
     f,
     ctx: Context | None = None,
-) -> CostMatrix:
+) -> Matrix:
     """min over all z of n*d(x,z) + c(z,y) - f(z): the infimal convolution of
     the shifted cost c - f."""
     # n and the metric are read by lipschitz_infconv; they are passed here
     # too so that the inferred mode counts every argument.
     ctx, values, f, _, _ = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("x", "y")), (f, "f", ("x",)), (n, "n", ()),
+        ctx, (c, "cost", ("x", "y")), (f, "f", ("x",)), (n, "n", ()),
         (space_x.metric, "space_x.metric", ("x", "x")),
     )
     shifted = tuple(tuple(x - fz for x in row) for row, fz in zip(values, f))
@@ -85,16 +84,16 @@ def shifted_infconv(
 
 def row_min_potential(c, g=None) -> Vector:
     """f(x) = min over y of c(x,y) - g(y); the tight lower potential for g."""
-    values = as_cost(c).values
+    (values,) = take_arguments((c, "cost", ("m", "n")))
     if g is None:
         g = (0,) * (len(values[0]) if values else 0)
     _, values, g = read_arguments(None, (values, "cost", ("m", "n")), (g, "g", ("n",)))
     return tuple(min(x - gy for x, gy in zip(row, g)) for row in values)
 
 
-def partition_discretize(c, partition: Partition, ctx: Context | None = None) -> CostMatrix:
+def partition_discretize(c, partition: Partition, ctx: Context | None = None) -> Matrix:
     """Replace each row by its cell representative's row; the null cell keeps c."""
-    _, values = read_arguments(ctx, (as_cost(c).values, "cost", (partition.size, "n")))
+    _, values = read_arguments(ctx, (c, "cost", (partition.size, "n")))
     rows = list(values)
     for k in partition.non_null_cells():
         members = mask_indices(partition.cells[k])
@@ -105,7 +104,7 @@ def partition_discretize(c, partition: Partition, ctx: Context | None = None) ->
             raise MissingRepresentative(f"cell {k} has no representative")
         for x in members:
             rows[x] = values[rep]
-    return CostMatrix(values=tuple(rows))
+    return tuple(rows)
 
 
 def _row_spread(a, b) -> Number:
@@ -118,7 +117,7 @@ def oscillation(c, partition: Partition, ctx: Context | None = None) -> tuple[Nu
 
     The null cell's entry is None: its oscillation is never constrained.
     """
-    ctx, values = read_arguments(ctx, (as_cost(c).values, "cost", (partition.size, "n")))
+    ctx, values = read_arguments(ctx, (c, "cost", (partition.size, "n")))
     out: list[Number | None] = []
     for k, cell in enumerate(partition.cells):
         if k == partition.null_cell_index:
@@ -153,7 +152,7 @@ def oscillation_partition(
         raise ValidationError("partitioning needs a metric on X")
     ctx, eps, u, values, d = read_arguments(
         ctx, (eps, "eps", ()), (lipschitz_bound, "lipschitz_bound", ()),
-        (as_cost(c).values, "cost", ("x", "y")), (space_x.metric, "space_x.metric", ("x", "x")),
+        (c, "cost", ("x", "y")), (space_x.metric, "space_x.metric", ("x", "x")),
     )
     if eps <= 0 or u <= 0:
         raise ValidationError("eps and the Lipschitz bound must be positive")
@@ -190,13 +189,12 @@ def oscillation_partition(
     return Partition(cells=masks, representatives=tuple(seeds))
 
 
-def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> CostMatrix:
+def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> Matrix:
     """Subtract a feasible lower pair: h = c - (f+g), nonnegative entrywise."""
     if lower.side != "lower":
         raise InfeasibleWitness("normalization needs a lower-side pair")
     ctx, values, f, g = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("m", "n")), (lower.f, "lower.f", ("m",)),
-        (lower.g, "lower.g", ("n",)),
+        ctx, (c, "cost", ("m", "n")), (lower.f, "lower.f", ("m",)), (lower.g, "lower.g", ("n",))
     )
     defect = potential_defect(lower, values, ctx)
     if not ctx.leq(defect, 0):
@@ -209,7 +207,7 @@ def normalize_cost(c, lower: PotentialPair, ctx: Context | None = None) -> CostM
             h = x - fi - gj
             out.append(h if h > 0 else zero if ctx.nonneg(h) else h)
         rows.append(tuple(out))
-    return CostMatrix(values=tuple(rows))
+    return tuple(rows)
 
 
 def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number | None:
@@ -218,7 +216,7 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
     Returns None when no finite u works (distinct rows at distance 0).
     """
     ctx, values, metric = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("x", "y")), (metric, "metric", ("x", "x"))
+        ctx, (c, "cost", ("x", "y")), (metric, "metric", ("x", "x"))
     )
     worst = ctx.number(0)
     for x in range(len(values)):
@@ -239,19 +237,19 @@ def lipschitz_modulus(c, metric: Matrix, ctx: Context | None = None) -> Number |
 class ApproximantSequence:
     """A base cost with staged approximants expected to increase toward it."""
 
-    base_cost: CostMatrix
-    stages: tuple[tuple[Number, CostMatrix], ...]
+    base_cost: Matrix
+    stages: tuple[tuple[Number, Matrix], ...]
 
     def __post_init__(self) -> None:
-        base = as_cost(self.base_cost)
         (stages,) = take_arguments((self.stages, "stages", ("k", 2)))
-        stages = tuple((param, as_cost(stage)) for param, stage in stages)
-        take_arguments(
-            (base.values, "base_cost", ("m", "n")),
-            *((stage.values, f"stages[{k}]", ("m", "n")) for k, (_, stage) in enumerate(stages)),
+        base, *matrices = take_arguments(
+            (self.base_cost, "base_cost", ("m", "n")),
+            *((stage, f"stages[{k}]", ("m", "n")) for k, (_, stage) in enumerate(stages)),
         )
         object.__setattr__(self, "base_cost", base)
-        object.__setattr__(self, "stages", stages)
+        object.__setattr__(
+            self, "stages", tuple((param, stage) for (param, _), stage in zip(stages, matrices))
+        )
 
 
 def infconv_sequence(
@@ -264,10 +262,10 @@ def infconv_sequence(
     """The stages lipschitz_infconv(c, n) for each n of ``n_values``, all
     read in one arithmetic mode: ``ctx``, or the mode inferred from
     ``n_values``, the cost and the metric together."""
-    base = as_cost(c)
+    (base,) = take_arguments((c, "cost", ("m", "n")))
     # lipschitz_infconv names each n and checks the metric, absent or not.
     ctx, _, _, *n_values = read_arguments(
-        ctx, (base.values, "cost", ("m", "n")),
+        ctx, (base, "cost", ("m", "n")),
         (space_x.metric or (), "space_x.metric", ("d", "d")),
         *((n, "n", ()) for n in as_tuple(n_values, "n_values")),
     )
@@ -296,8 +294,8 @@ def beta_star_limit_check(
     """
     ctx, mu, nu, base, *stages = read_arguments(
         ctx, (mu, "mu", ("m",)), (nu, "nu", ("n",)),
-        (sequence.base_cost.values, "sequence.base_cost", ("m", "n")),
-        *((stage.values, f"sequence.stages[{k}]", ("m", "n"))
+        (sequence.base_cost, "sequence.base_cost", ("m", "n")),
+        *((stage, f"sequence.stages[{k}]", ("m", "n"))
           for k, (_, stage) in enumerate(sequence.stages)),
     )
     previous = None

@@ -180,7 +180,7 @@ def _scenario_extend(instance, ctx, options):
         )
     # Coarse cost: one row per cell, the row its members share after
     # discretization; the null cell and empty cells carry no mass.
-    discretized = partition_discretize(cost, part, ctx).values
+    discretized = partition_discretize(cost, part, ctx)
     zero_row = tuple(ctx.number(0) for _ in range(instance.space_y.size))
     rows = tuple(
         discretized[members[0]] if k != null and members else zero_row
@@ -190,7 +190,7 @@ def _scenario_extend(instance, ctx, options):
     coarse = CoarseCoupling(partition=part, matrix=coarse_report.coupling.matrix, nu=nu)
     fine = extend_coupling(coarse, mu, ctx)
     alpha = solve_alpha(cost, mu, nu, ctx).value
-    fine_value = transport_value(fine, cost.values)
+    fine_value = transport_value(fine, cost)
     agreement_ok = True
     for k, cell in enumerate(part.cells):
         members = mask_indices(cell)

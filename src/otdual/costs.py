@@ -1,11 +1,12 @@
-"""Cost matrices and separable potential pairs."""
+"""Separable potential pairs.  A cost on X x Y is a plain m x n matrix,
+read and shape-checked as ``cost`` by each entry that takes one."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .numeric import Context, Number, as_tuple, fold_sum, read_arguments, take_arguments
+from .numeric import Context, Number, as_tuple, fold_sum, read_arguments
 from .spaces import Matrix, Vector
 
 LOWER = "lower"
@@ -51,27 +52,6 @@ def potential_defect(pair: PotentialPair, values: Matrix, ctx: Context | None = 
             if gap > worst:
                 worst = gap
     return worst
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """A real cost matrix over X x Y.
-
-    On a finite space every cost lies between the separable functions
-    min c and max c, so the paper's bounding pairs need no field here.
-    """
-
-    values: Matrix
-
-    def __post_init__(self) -> None:
-        (values,) = take_arguments((self.values, "values", ("m", "n")))
-        object.__setattr__(self, "values", values)
-
-
-def as_cost(c) -> CostMatrix:
-    if isinstance(c, CostMatrix):
-        return c
-    return CostMatrix(values=take_arguments((c, "cost", ("m", "n")))[0])
 
 
 def negate_matrix(values: Matrix) -> Matrix:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .costs import CostMatrix
 from .errors import DualityError, ParseError, ValidationError
 from .numeric import Context, format_number, read_arguments
 from .rectangles import RectangleFamily
@@ -37,7 +36,7 @@ class Instance:
     ctx: Context
     space_x: ProbabilitySpace
     space_y: ProbabilitySpace
-    cost: CostMatrix | None = None
+    cost: Matrix | None = None
     rectangles: RectangleFamily | None = None
     partition: Partition | None = None
 
@@ -95,7 +94,7 @@ def _coords(data, ctx, where, size) -> Vector:
     return _parse_numbers(coords, ctx, f"{where}.coords", (size,))
 
 
-def _formula_cost(formula, data, m, n, ctx) -> CostMatrix:
+def _formula_cost(formula, data, m, n, ctx) -> Matrix:
     cx = _coords(data["space_x"], ctx, "space_x", m)
     cy = _coords(data["space_y"], ctx, "space_y", n)
     one, zero = ctx.number(1), ctx.number(0)
@@ -107,7 +106,7 @@ def _formula_cost(formula, data, m, n, ctx) -> CostMatrix:
         rows = [[one if a == b else zero for b in cy] for a in cx]
     else:
         raise ParseError(f"unknown cost formula {formula!r}; known: {FORMULAS}")
-    return CostMatrix(values=tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def parse_instance(data: dict, mode_override: str | None = None, tolerance: float | None = None) -> Instance:
@@ -140,8 +139,7 @@ def parse_instance(data: dict, mode_override: str | None = None, tolerance: floa
     raw_cost = _need(data, "cost", dict, "instance", optional=True)
     if raw_cost is not None:
         if "matrix" in raw_cost:
-            values = _parse_numbers(raw_cost["matrix"], ctx, "cost.matrix", (m, n))
-            cost = CostMatrix(values=values)
+            cost = _parse_numbers(raw_cost["matrix"], ctx, "cost.matrix", (m, n))
         elif "formula" in raw_cost:
             cost = _formula_cost(raw_cost["formula"], data, m, n, ctx)
         else:
@@ -218,7 +216,7 @@ def instance_to_jsonable(instance: Instance) -> dict:
         "space_y": space_doc(instance.space_y),
     }
     if instance.cost is not None:
-        doc["cost"] = {"matrix": instance.cost.values}
+        doc["cost"] = {"matrix": instance.cost}
     doc = format_number(doc, mode)
     # The fields below hold indices, not numbers, and the scalar
     # null_cell_index would be rendered as one.
@@ -329,7 +327,7 @@ def generate_instance(seed: int, m: int, n: int, mode: str = "rational") -> Inst
         ctx=ctx,
         space_x=make_space(mu, metric),
         space_y=make_space(nu, prefix="y"),
-        cost=CostMatrix(values=cost),
+        cost=cost,
         rectangles=rectangles,
         partition=partition,
     )

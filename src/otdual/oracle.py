@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .costs import as_cost
 from .errors import InstanceTooLarge, UnknownObjective
 from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, to_lattice
 from .spaces import Matrix
@@ -107,7 +106,7 @@ def oracle_enumerate(
     if objective not in (ALPHA, ALPHA_STAR):
         raise UnknownObjective(f"objective must be 'alpha' or 'alpha_star', got {objective!r}")
     ctx, values, mu, nu = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
+        ctx, (c, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
     )
     cost_scale, cost = to_lattice(*values)
     mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import CostMatrix
 from .errors import IndexOutOfRange, InvariantViolation
 from .numeric import Context, Number, fold_sum, from_lattice, read_arguments, take_arguments
 from .spaces import (
@@ -60,9 +59,9 @@ class RectangleFamily:
         return RectangleFamily(nx=self.nx, ny=self.ny, rects=self.rects[:count])
 
 
-def indicator_cost(family: RectangleFamily) -> CostMatrix:
+def indicator_cost(family: RectangleFamily) -> Matrix:
     """0/1 cost of membership in the union of the family."""
-    return CostMatrix(values=family.union_matrix())
+    return family.union_matrix()
 
 
 @dataclass(frozen=True)

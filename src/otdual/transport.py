@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .costs import LOWER, UPPER, PotentialPair, as_cost, negate_matrix
+from .costs import LOWER, UPPER, PotentialPair, negate_matrix
 from .errors import InfeasibleMarginals, InvariantViolation
 from .numeric import (
     Context, Number, fold_sum, from_lattice, read_arguments, take_arguments, to_lattice,
@@ -159,12 +159,12 @@ def _northwest_basis(mu, nu):
         d[j] -= q
         if i == m - 1 and j == n - 1:
             break
+        # The totals are equal, so in the last column the remaining demand
+        # covers row i and s[i] reaches 0 before j could pass n - 1.
         if s[i] == 0 and i < m - 1:
             i += 1
-        elif j < n - 1:
-            j += 1
         else:
-            i += 1
+            j += 1
     return flow
 
 
@@ -306,7 +306,7 @@ def _solve(c, mu, nu, side, ctx):
     coupling, the potentials or the value.
     """
     ctx, values, mu, nu = read_arguments(
-        ctx, (as_cost(c).values, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
+        ctx, (c, "cost", ("m", "n")), (mu, "mu", ("m",)), (nu, "nu", ("n",))
     )
     cost_scale, cost = to_lattice(*values)
     mass_scale, mass_mu, mass_nu = _lattice_marginals(mu, nu, ctx)

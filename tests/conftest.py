@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from otdual import transport
-from otdual.costs import CostMatrix, potential_defect
+from otdual.costs import potential_defect
 from otdual.numeric import resolve_context
 from otdual.spaces import make_space
 
@@ -70,11 +70,11 @@ def brute_min_cover_value(family, mu, nu):
 
 def separable_cost(f, g):
     """The cost f(x) + g(y)."""
-    return CostMatrix(values=tuple(tuple(fi + gj for gj in g) for fi in f))
+    return tuple(tuple(fi + gj for gj in g) for fi in f)
 
 
 def constant_cost(m, n, value):
-    return CostMatrix(values=tuple((value,) * n for _ in range(m)))
+    return tuple((value,) * n for _ in range(m))
 
 
 def shift_matrix(values, t):

@@ -121,7 +121,7 @@ def test_infimal_convolution_suite():
         previous = None
         n = F(1)
         while True:
-            out = ot.lipschitz_infconv(c, n, space).values
+            out = ot.lipschitz_infconv(c, n, space)
             for x in range(k):
                 for z in range(k):
                     spread = max(abs(a - b) for a, b in zip(out[x], out[z]))

@@ -32,20 +32,20 @@ def test_constant_cost_is_a_fixed_point():
     space = line_space()
     c = constant_cost(3, 2, F(9, 4))
     for n in (F(1, 2), 1, 7):
-        assert ot.lipschitz_infconv(c, n, space).values == c.values
+        assert ot.lipschitz_infconv(c, n, space) == c
 
 
 def test_one_lipschitz_cost_is_fixed_for_n_at_least_one():
     space = line_space()
     c = tuple((space.metric[i][0],) for i in range(3))  # c(x, y) = d(x, x0)
     for n in (1, 2, 10):
-        assert ot.lipschitz_infconv(c, n, space).values == ot.as_cost(c).values
+        assert ot.lipschitz_infconv(c, n, space) == c
 
 
 def test_profile_smoothed_to_0_1_0():
     space = line_space()
     out = ot.lipschitz_infconv(PROFILE, 1, space)
-    assert out.values == ((0, 0), (1, 1), (0, 0))
+    assert out == ((0, 0), (1, 1), (0, 0))
 
 
 def test_anchor_subset_changes_the_infimum():
@@ -53,7 +53,7 @@ def test_anchor_subset_changes_the_infimum():
     anchors = ot.mask_from_indices(3, [1])
     out = ot.lipschitz_infconv(PROFILE, 1, space, anchor_set=anchors)
     # only z = 1 available: n*d(x,1) + 10
-    assert out.values == ((11, 11), (10, 10), (11, 11))
+    assert out == ((11, 11), (10, 10), (11, 11))
 
 
 def test_empty_anchor_set_rejected():
@@ -70,7 +70,7 @@ def test_modulus_bound_holds_for_anchor_subsets():
         c = random_cost_matrix(rng, k, 2)
         anchors = ot.mask_from_indices(k, [i for i in range(k) if rng.random() < 0.6] or [0])
         n = F(rng.randint(1, 6), 2)
-        out = ot.lipschitz_infconv(c, n, space, anchor_set=anchors).values
+        out = ot.lipschitz_infconv(c, n, space, anchor_set=anchors)
         for x in range(k):
             for z in range(k):
                 spread = max(abs(a - b) for a, b in zip(out[x], out[z]))
@@ -98,7 +98,7 @@ def test_modulus_bound_monotonicity_and_fixed_point_random():
         previous = None
         n = F(1)
         while True:
-            out = ot.lipschitz_infconv(c, n, space).values
+            out = ot.lipschitz_infconv(c, n, space)
             for x in range(k):
                 for z in range(k):
                     spread = max(abs(a - b) for a, b in zip(out[x], out[z]))
@@ -121,7 +121,7 @@ def test_zero_shift_matches_plain_infconv():
     space = line_space()
     plain = ot.lipschitz_infconv(PROFILE, 2, space)
     shifted = ot.shifted_infconv(PROFILE, 2, space, (0, 0, 0))
-    assert plain.values == shifted.values
+    assert plain == shifted
 
 
 def test_row_min_potential_gives_nonnegative_shifted_cost():
@@ -137,13 +137,13 @@ def test_shifted_stages_increase_to_shifted_cost():
     space = line_space()
     f = ot.row_min_potential(PROFILE)
     target = tuple(
-        tuple(x - fi for x in row) for row, fi in zip(ot.as_cost(PROFILE).values, f)
+        tuple(x - fi for x in row) for row, fi in zip(PROFILE, f)
     )
     modulus = ot.lipschitz_modulus(target, space.metric)
     previous = None
     n = F(1)
     while True:
-        out = ot.shifted_infconv(PROFILE, n, space, f).values
+        out = ot.shifted_infconv(PROFILE, n, space, f)
         assert all(a >= 0 for row in out for a in row)
         if previous is not None:
             for row_prev, row_now in zip(previous, out):
@@ -160,13 +160,13 @@ def test_shifted_stages_increase_to_shifted_cost():
 def test_singleton_partition_discretizes_to_itself():
     c = random_cost_matrix(Random(7), 4, 3)
     part = ot.singleton_partition(4)
-    assert ot.partition_discretize(c, part).values == c
+    assert ot.partition_discretize(c, part) == c
 
 
 def test_single_cell_collapses_every_row():
     c = ((1, 2), (3, 4), (5, 6))
     part = ot.Partition(cells=(ot.mask_from_indices(3, [0, 1, 2]),), representatives=(0,))
-    assert ot.partition_discretize(c, part).values == ((1, 2),) * 3
+    assert ot.partition_discretize(c, part) == ((1, 2),) * 3
 
 
 def test_missing_representative_raises():
@@ -183,7 +183,7 @@ def test_discretization_error_bounded_by_oscillation():
     )
     osc = ot.oscillation(c, part)
     assert osc == (F(1, 5), 0)
-    c0 = ot.partition_discretize(c, part).values
+    c0 = ot.partition_discretize(c, part)
     worst = max(abs(a - b) for ra, rb in zip(c, c0) for a, b in zip(ra, rb))
     assert worst <= F(1, 5)
 
@@ -265,7 +265,7 @@ def test_normalize_with_optimal_potentials_kills_alpha():
     c = random_cost_matrix(rng, 3, 3)
     beta = ot.solve_beta(c, mu, nu)
     h = ot.normalize_cost(c, beta.potentials)
-    assert all(x >= 0 for row in h.values for x in row)
+    assert all(x >= 0 for row in h for x in row)
     alpha_h = ot.solve_alpha(h, mu, nu).value
     alpha_c = ot.solve_alpha(c, mu, nu).value
     assert alpha_h == alpha_c - beta.value
@@ -277,15 +277,15 @@ def test_normalize_separable_gives_zero():
     g = (F(3), F(-1))
     pair = ot.PotentialPair(f=f, g=g, side="lower")
     h = ot.normalize_cost(separable_cost(f, g), pair)
-    assert h.values == ((0, 0), (0, 0))
+    assert h == ((0, 0), (0, 0))
 
 
 def test_normalize_with_row_minima_leaves_zero_per_row():
     c = ((1, 5), (-2, 0))
     pair = ot.PotentialPair(f=ot.row_min_potential(c), g=(0, 0), side="lower")
     h = ot.normalize_cost(c, pair)
-    assert all(min(row) == 0 for row in h.values)
-    assert all(x >= 0 for row in h.values for x in row)
+    assert all(min(row) == 0 for row in h)
+    assert all(x >= 0 for row in h for x in row)
 
 
 def test_normalize_rejects_infeasible_pair():
@@ -303,10 +303,10 @@ def test_constant_shift_stages():
     c = random_cost_matrix(rng, 3, 2)
     base_value = ot.solve_beta_star(c, mu, nu).value
     stages = tuple(
-        (n, ot.CostMatrix(values=shift_matrix(ot.as_cost(c).values, -F(1, n))))
+        (n, shift_matrix(c, -F(1, n)))
         for n in (1, 2, 4)
     )
-    seq = ot.ApproximantSequence(base_cost=ot.as_cost(c), stages=stages)
+    seq = ot.ApproximantSequence(base_cost=c, stages=stages)
     report = ot.beta_star_limit_check(seq, mu, nu)
     assert report.stage_values == tuple(base_value - F(1, n) for n in (1, 2, 4))
     assert report.final_gap == F(1, 4)

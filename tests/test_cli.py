@@ -64,7 +64,7 @@ def swap_doc():
 def test_minimal_instance_loads(tmp_path):
     instance = load_instance(write(tmp_path, minimal_doc()))
     assert instance.space_x.size == 1
-    assert instance.cost.values == ((7,),)
+    assert instance.cost == ((7,),)
 
 
 def test_missing_file_is_a_parse_error(tmp_path):
@@ -111,14 +111,14 @@ def test_formula_costs(tmp_path):
         "cost": {"formula": "absolute-difference"},
     }
     instance = load_instance(write(tmp_path, doc))
-    assert instance.cost.values == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert instance.cost == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
     doc["cost"] = {"formula": "equality-indicator"}
     instance = load_instance(write(tmp_path, doc))
-    assert instance.cost.values == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert instance.cost == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     doc["cost"] = {"formula": "squared-difference"}
     doc["space_x"]["coords"] = ["0", "1/2", "1"]
     instance = load_instance(write(tmp_path, doc))
-    assert instance.cost.values[1][0] == F(1, 4)
+    assert instance.cost[1][0] == F(1, 4)
 
 
 def test_coords_are_read_only_for_a_formula_cost(tmp_path, capsys):
@@ -526,7 +526,6 @@ BAD_CONTAINER_CALLS = {
     "PotentialPair": (lambda: ot.PotentialPair(f=None, g=(0,), side="lower"), "f"),
     "make_space": (lambda: ot.make_space(None), "weights"),
     "Coupling": (lambda: ot.Coupling(matrix=5, mu=(1,), nu=(1,)), "matrix"),
-    "CostMatrix": (lambda: ot.CostMatrix(values=5), "values"),
     "CoarseCoupling": (
         lambda: ot.CoarseCoupling(partition=ot.singleton_partition(2), matrix=5, nu=HALF), "matrix"
     ),
@@ -536,7 +535,7 @@ BAD_CONTAINER_CALLS = {
     ),
     "RectangleFamily": (lambda: ot.RectangleFamily(nx=2, ny=2, rects=5), "rects"),
     "ApproximantSequence": (
-        lambda: ot.ApproximantSequence(base_cost=ot.as_cost(((0,),)), stages=5), "stages"
+        lambda: ot.ApproximantSequence(base_cost=((0,),), stages=5), "stages"
     ),
 }
 
@@ -561,6 +560,7 @@ BAD_SHAPE_CALLS = {
         for solver in LIBRARY_SOLVERS
     },
     "oracle_enumerate": (lambda: ot.oracle_enumerate(COST, HALF, THIRDS3, "alpha"), "nu"),
+    "solve_alpha-ragged-cost": (lambda: ot.solve_alpha(((0, 1), (1,)), HALF, HALF), "cost[1]"),
     "min_cover": (lambda: ot.min_cover(FAMILY, THIRDS3, HALF), "mu"),
     "arveson_witness": (lambda: ot.arveson_witness(FAMILY, HALF, THIRDS3), "nu"),
     "truncation_duality": (
@@ -634,7 +634,6 @@ BAD_SHAPE_CALLS = {
     ),
     "ProbabilitySpace": (lambda: ot.ProbabilitySpace(points=("a",), weights=HALF), "points"),
     "Coupling": (lambda: ot.Coupling(matrix=SWAP, mu=THIRDS3, nu=HALF), "mu"),
-    "CostMatrix": (lambda: ot.CostMatrix(values=((0, 1), (1,))), "values[1]"),
     "CoarseCoupling": (
         lambda: ot.CoarseCoupling(
             partition=ot.singleton_partition(2), matrix=((F(1, 2), 0),), nu=HALF
@@ -668,9 +667,9 @@ def test_a_shape_mismatch_is_a_validation_error():
 # sizes, indices, masks or paths, build objects whose numbers a later entry
 # reads, or write numbers the package made.
 NO_NUMBERS = {
-    "as_cost", "covers", "format_number", "generate_instance", "indicator_cost",
-    "instance_to_jsonable", "load_instance", "make_space", "mask_from_indices", "mask_indices",
-    "mask_union", "save_instance", "singleton_partition",
+    "covers", "format_number", "generate_instance", "indicator_cost", "instance_to_jsonable",
+    "load_instance", "make_space", "mask_from_indices", "mask_indices", "mask_union",
+    "save_instance", "singleton_partition",
 }
 
 
@@ -773,7 +772,7 @@ def tuple_rows(rows):
     lambda vec, mat: ot.shifted_infconv(COST, 1, ot.make_space(HALF, SWAP), vec((0, 1))),
     lambda vec, mat: ot.lipschitz_modulus(COST, mat(SWAP)),
     lambda vec, mat: ot.beta_star_limit_check(
-        ot.ApproximantSequence(base_cost=ot.as_cost(COST), stages=((1, ot.as_cost(COST)),)),
+        ot.ApproximantSequence(base_cost=COST, stages=((1, COST),)),
         vec(THIRDS),
         vec(HALF),
     ),
@@ -794,7 +793,7 @@ def test_infconv_sequence_reads_every_stage_in_one_mode():
     space = ot.make_space(HALF, SWAP)
     sequence = ot.infconv_sequence(COST, space, (1, 0.5))
     assert sequence == ot.infconv_sequence(COST, space, (1, 0.5), ctx=ot.Context("float"))
-    assert {type(x) for _, stage in sequence.stages for row in stage.values for x in row} == {float}
+    assert {type(x) for _, stage in sequence.stages for row in stage for x in row} == {float}
 
 
 def test_float_overflow_exits_2_without_non_finite_json(tmp_path, capsys):

@@ -22,6 +22,7 @@ from otdual.instances import (
     random_cost_matrix,
     random_weights,
 )
+from otdual.lp import simplex_maximize
 
 HALF = (F(1, 2), F(1, 2))
 SWAP_COST = ((0, 1), (1, 0))
@@ -48,16 +49,16 @@ def test_swap_cost_alpha_star_is_antidiagonal():
 def test_swap_cost_beta_values_and_witnesses():
     beta = ot.solve_beta(SWAP_COST, HALF, HALF)
     assert beta.value == 0
-    assert is_feasible_potential(beta.potentials, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(beta.potentials, SWAP_COST)
     # (0, 0) is feasible and already optimal for the lower dual
     zero_pair = ot.PotentialPair(f=(0, 0), g=(0, 0), side="lower")
     assert zero_pair.dual_value(HALF, HALF) == beta.value
 
     beta_star = ot.solve_beta_star(SWAP_COST, HALF, HALF)
     assert beta_star.value == 1
-    assert is_feasible_potential(beta_star.potentials, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(beta_star.potentials, SWAP_COST)
     half_pair = ot.PotentialPair(f=HALF, g=HALF, side="upper")
-    assert is_feasible_potential(half_pair, ot.as_cost(SWAP_COST).values)
+    assert is_feasible_potential(half_pair, SWAP_COST)
     assert half_pair.dual_value(HALF, HALF) == beta_star.value
 
 
@@ -103,7 +104,7 @@ def test_shift_identity_for_beta():
     c = random_cost_matrix(rng, 3, 4)
     t = F(9, 7)
     base = ot.solve_beta(c, mu, nu).value
-    shifted = ot.solve_beta(ot.CostMatrix(values=shift_matrix(c, t)), mu, nu).value
+    shifted = ot.solve_beta(shift_matrix(c, t), mu, nu).value
     assert shifted == base + t
 
 
@@ -127,7 +128,7 @@ def test_alpha_report_satisfies_complementary_slackness():
         nu = random_weights(rng, n)
         c = random_cost_matrix(rng, m, n)
         report = ot.solve_alpha(c, mu, nu)
-        assert is_feasible_potential(report.potentials, ot.as_cost(c).values)
+        assert is_feasible_potential(report.potentials, c)
         assert report.potentials.dual_value(mu, nu) == report.value
         for i in range(m):
             for j in range(n):
@@ -150,9 +151,9 @@ def test_weak_duality_against_random_witnesses():
         )
         g = tuple(x + slack for x in g_raw)
         pair = ot.PotentialPair(f=f, g=g, side="lower")
-        assert is_feasible_potential(pair, ot.as_cost(c).values)
+        assert is_feasible_potential(pair, c)
         plan = random_coupling(rng, mu, nu)
-        assert pair.dual_value(mu, nu) <= ot.transport_value(plan, ot.as_cost(c).values)
+        assert pair.dual_value(mu, nu) <= ot.transport_value(plan, c)
 
 
 def test_permuting_labels_preserves_values_and_optimality():
@@ -281,8 +282,8 @@ def test_float_mode_agrees_with_rational_mode(instance):
 
 
 @st.composite
-def _dyadic_instances(draw):
-    """Weights in sixteenths summing to 1 and a cost in quarters, up to 6x6,
+def _dyadic_instances(draw, size=6):
+    """Weights in sixteenths summing to 1 and a cost in quarters, up to size x size,
     with f on X, g on Y and an entrywise raise >= 0 of the cost, in quarters.
 
     Every sum and product below is exact in floats and the float totals are
@@ -296,7 +297,7 @@ def _dyadic_instances(draw):
     def quarters(k, low=-12):
         return draw(st.lists(st.integers(low, 12), min_size=k, max_size=k))
 
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m, n = draw(st.integers(1, size)), draw(st.integers(1, size))
     return (weights(m), weights(n), [quarters(n) for _ in range(m)], quarters(m), quarters(n),
             [quarters(n, 0) for _ in range(m)])
 
@@ -346,6 +347,38 @@ def test_raising_the_cost_raises_both_values(mode, instance):
     raised = tuple(tuple(x + d for x, d in zip(row, drow)) for row, drow in zip(c, lift))
     for solver in SIDES:
         assert solver(c, mu, nu, ctx).value <= solver(raised, mu, nu, ctx).value
+
+
+def _lp_alpha_star(c, mu, nu, ctx):
+    """alpha*(c) by the dense LP: maximize sum (c+K)x over x >= 0 with row
+    sums <= mu and column sums <= nu, K = 1 - min c.  Every weight c+K is at
+    least 1, so a flow short of full mass can still gain, and the optimum is
+    a coupling worth alpha*(c) + K."""
+    m, n = len(mu), len(nu)
+    shift = 1 - min(x for row in c for x in row)
+    lhs = [[int(k // n == i) for k in range(m * n)] for i in range(m)]
+    lhs += [[int(k % n == j) for k in range(m * n)] for j in range(n)]
+    value, _ = simplex_maximize([x + shift for row in c for x in row], lhs, [*mu, *nu], ctx)
+    return value - shift
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_instances(4))
+def test_the_simplex_agrees_with_the_oracle_and_the_dense_lp(mode, instance):
+    mu, nu, c, *_ = _in_mode(instance, mode)
+    ctx = ot.Context(mode)
+    negated = tuple(tuple(-x for x in row) for row in c)
+    assert (
+        ot.solve_alpha(c, mu, nu, ctx).value
+        == ot.oracle_enumerate(c, mu, nu, "alpha", ctx=ctx)
+        == -_lp_alpha_star(negated, mu, nu, ctx)
+    )
+    assert (
+        ot.solve_alpha_star(c, mu, nu, ctx).value
+        == ot.oracle_enumerate(c, mu, nu, "alpha_star", ctx=ctx)
+        == _lp_alpha_star(c, mu, nu, ctx)
+    )
 
 
 def test_a_float_weight_just_below_0_is_read_as_0():
